@@ -72,6 +72,8 @@ def main():
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     parent, change = load_runs(args.parent), load_runs(args.change)
+    # Workloads run by hand (not gated by BENCHMARK.json) compare too.
+    workloads += sorted((parent.keys() & change.keys()) - set(workloads))
 
     claim = None
     if args.claim:
