@@ -27,6 +27,10 @@ import json
 import statistics
 import sys
 
+# Figures every untraced run prints and keeps in its record, outside the
+# result line, with no bound in BENCHMARK.json: name -> better direction.
+UNGATED = {"latency_p90_ms": "lower", "jobs_per_s": "higher"}
+
 
 def load_runs(path):
     """Untraced run records of one file, grouped as {workload: [metrics]}."""
@@ -39,10 +43,9 @@ def load_runs(path):
             record = json.loads(line)
             if str(record.get("trace")) != "0":
                 continue
-            metrics = record["result"]["metrics"]
-            runs.setdefault(record["workload"], []).append(
-                {name: m["value"] for name, m in metrics.items()}
-            )
+            values = {name: m["value"] for name, m in record["result"]["metrics"].items()}
+            values.update({name: record[name] for name in UNGATED if name in record})
+            runs.setdefault(record["workload"], []).append(values)
     return runs
 
 
@@ -70,6 +73,8 @@ def main():
     with open(args.benchmark, encoding="utf-8") as f:
         spec = json.load(f)
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    for name, direction in UNGATED.items():
+        metrics.setdefault(name, {"better": direction, "bound": None})
     workloads = [w["name"] for w in spec["workloads"]]
     parent, change = load_runs(args.parent), load_runs(args.change)
     # Workloads run by hand (not gated by BENCHMARK.json) compare too.
@@ -118,6 +123,8 @@ def main():
                 )
                 verdict = f"claim {'MET' if met else 'NOT MET'} ({wins}/{len(pairs)} pairs won, gap {gap:.4g} vs parent IQR {pq3 - pq1:.4g})"
                 ok &= met
+            elif bound is None:
+                verdict = "not gated"
             elif worse > bound:
                 verdict = f"REGRESSION (worse by {worse:.1%} > bound {bound:.0%})"
                 ok = False

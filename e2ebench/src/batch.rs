@@ -3,7 +3,7 @@
 
 use crate::common::{
     demo_bundle, flow_config, mean, median, ms, plan_digest, plan_within_slack, quantile, report_digest,
-    rss_window, seeded_layouts, setup_median, timed_setup, Tracer, REPLAYED, WORKERS,
+    rss_window, seeded_layouts, timed_setup, SetupTimes, Tracer, REPLAYED, WORKERS,
 };
 use crate::metrics::Outcome;
 use crate::replay::{flow_replay, job_name, stage_replay};
@@ -146,7 +146,7 @@ pub fn run(args: &RunArgs, tracer: &Tracer) -> Result<Outcome, String> {
     let min_bursts = if args.trace { 1 } else { 2 };
     let bursts = run_bursts(&mut out, &pool, &layouts, seconds, min_bursts, None, &mut digests);
     drop(pool);
-    out.set("setup_s", setup_median(first_setup, setup)?);
+    out.set("setup_s", SetupTimes::new(first_setup).median(setup)?);
     let throughput = |b: &Bursts| b.completed as f64 / b.walls.iter().sum::<f64>();
     out.set("latency_p50_ms", quantile(&bursts.latency_ms, 0.5));
     out.set("latency_p90_ms", quantile(&bursts.latency_ms, 0.9));

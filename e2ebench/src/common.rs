@@ -204,17 +204,35 @@ pub fn timed_setup<T>(f: impl FnOnce() -> Result<T, String>) -> Result<(f64, T),
     Ok((t.elapsed().as_secs_f64(), value))
 }
 
-/// `setup_s`: the median of the set-up that built the measured instance
-/// (`first`) and of repeats made after the measured phase, so that their
-/// garbage does not shape the heap the phase ran on.
-pub fn setup_median<T>(first: f64, mut f: impl FnMut() -> Result<T, String>) -> Result<f64, String> {
-    let mut times = vec![first];
-    for _ in 1..SETUP_REPS {
-        let (t, built) = timed_setup(&mut f)?;
-        drop(built);
-        times.push(t);
+/// The set-up times of one run; `setup_s` is their median. They are the
+/// set-up that built the measured instance and repeats made between the
+/// measured flows or trials (never while work is being timed), so that the
+/// median samples the whole run instead of one moment of host contention.
+/// What a repeat builds is dropped at once.
+pub struct SetupTimes(Vec<f64>);
+
+impl SetupTimes {
+    pub fn new(first: f64) -> Self {
+        Self(vec![first])
     }
-    Ok(median(&times))
+
+    /// Times one more set-up, unless [`SETUP_REPS`] are already measured.
+    pub fn repeat<T>(&mut self, f: impl FnOnce() -> Result<T, String>) -> Result<(), String> {
+        if self.0.len() < SETUP_REPS {
+            let (t, built) = timed_setup(f)?;
+            drop(built);
+            self.0.push(t);
+        }
+        Ok(())
+    }
+
+    /// Tops the repeats up to [`SETUP_REPS`] and returns their median, s.
+    pub fn median<T>(mut self, mut f: impl FnMut() -> Result<T, String>) -> Result<f64, String> {
+        while self.0.len() < SETUP_REPS {
+            self.repeat(&mut f)?;
+        }
+        Ok(median(&self.0))
+    }
 }
 
 /// One recorded span: a named interval around a call into the program.

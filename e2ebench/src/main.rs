@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path e2ebench/Cargo.toml -- \
-//!     --workload serve_8x8|batch_16x16|chip_C400 --seed N --seconds S --trace 0|1
+//!     --workload serve_8x8|serve_seq_8x8|batch_16x16|chip_C120 --seed N --seconds S --trace 0|1
 //! ```
 //!
 //! Each run builds its inputs from `--seed`, measures for about
@@ -23,12 +23,12 @@ mod replay;
 mod serve;
 
 use common::{nproc, Tracer, WORKERS, WORK_DIR};
-use metrics::{Outcome, END_TO_END, PER_LAYER};
+use metrics::{Outcome, END_TO_END, PER_LAYER, UNGATED};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: e2ebench --workload serve_8x8|batch_16x16|chip_C400 --seed N --seconds S --trace 0|1";
+    "usage: e2ebench --workload serve_8x8|serve_seq_8x8|batch_16x16|chip_C120 --seed N --seconds S --trace 0|1";
 
 /// Command-line arguments of one run.
 #[derive(Debug)]
@@ -116,6 +116,14 @@ fn finish(args: &RunArgs, tracer: &Tracer, mut out: Outcome) -> Result<bool, Str
     for (name, value, unit) in &values {
         println!("  {name:<28} {value:>16.6} {unit}");
     }
+    if !args.trace {
+        for &(name, unit) in UNGATED {
+            if let Some(value) = out.metrics.get(name) {
+                println!("  {name:<28} {value:>16.6} {unit} (not gated)");
+                info.push((name, value.to_string()));
+            }
+        }
+    }
     let failed_frac = out.failed as f64 / out.attempted.max(1) as f64;
     println!(
         "  {:<28} {:>16.6} ratio ({} of {} operations)",
@@ -170,9 +178,10 @@ fn main() -> ExitCode {
     }
     let tracer = Tracer::new();
     let outcome = match args.workload.as_str() {
-        "serve_8x8" => serve::run(&args, &tracer),
+        "serve_8x8" => serve::run(&args, &tracer, serve::Mode::Open),
+        "serve_seq_8x8" => serve::run(&args, &tracer, serve::Mode::Seq),
         "batch_16x16" => batch::run(&args, &tracer),
-        "chip_C400" => chip::run(&args, &tracer),
+        "chip_C120" => chip::run(&args, &tracer),
         other => Err(format!("unknown workload {other:?}\n{USAGE}")),
     };
     match outcome.and_then(|out| finish(&args, &tracer, out)) {
