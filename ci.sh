@@ -44,18 +44,13 @@ cargo test -p neurfill-tensor --test gemm_equivalence -q
 cargo test -p neurfill-cmpsim --test kernel_equivalence -q
 cargo test -p neurfill-nn --test determinism -q
 
-echo "== numerics-tier certification suite (exact pinned, fast within tolerance)"
-cargo test -p neurfill-cmpsim --test tier_equivalence -q
-cargo test -p neurfill --test downstream_equivalence -q
-cargo test -p neurfill-chip --test fast_tier -q
-
 echo "== kernel bench (compile-only)"
 cargo bench -p neurfill-bench --bench kernels --no-run
 
-echo "== quantized-backend certification suite (seam, calibration, serve canary)"
+echo "== quantized-backend certification suite (seam, calibration, downstream, serve canary)"
 cargo test -p neurfill-tensor -q quant
 cargo test -p neurfill-nn -q quant
-cargo test -p neurfill --test downstream_equivalence -q backend
+cargo test -p neurfill --test downstream_equivalence -q
 cargo test -p neurfill-serve --test quant_canary -q
 
 echo "== infer bench (compile-only)"
@@ -75,15 +70,18 @@ cargo test -p neurfill-layout --test tiling_props -q
 echo "== fullchip bench (compile-only)"
 cargo bench -p neurfill-bench --bench fullchip --no-run
 
-echo "== durability suite (append log, journal, shard finalize)"
+echo "== durability suite (append log, shard finalize, training checkpoints)"
 cargo test -p neurfill-data -q
 
-echo "== chaos/recovery suite (kill-at-every-ordinal, bit-identical resume)"
+echo "== chaos/recovery suite (wait_first under faults, kill-at-every-ordinal, bit-identical resume)"
 cargo test -p neurfill-runtime --test wait_first -q
 cargo test -p neurfill-chip --test checkpoint_resume -q
 cargo test -p neurfill-serve --test recovery -q
 
 echo "== recovery bench (compile-only)"
 cargo bench -p neurfill-bench --bench recovery --no-run
+
+echo "== end-to-end benchmark (build only)"
+cargo build --release --locked --manifest-path e2ebench/Cargo.toml --target-dir target/e2ebench
 
 echo "CI OK"

@@ -97,7 +97,6 @@ fn main() {
         rows.push(BenchRecord {
             op: "unet_infer".to_string(),
             shape: shape.clone(),
-            tier: "exact".to_string(),
             backend: "cpu".to_string(),
             ns: f32_ns,
             reference_ns: None,
@@ -105,7 +104,6 @@ fn main() {
         rows.push(BenchRecord {
             op: "unet_infer".to_string(),
             shape,
-            tier: "exact".to_string(),
             backend: "quant".to_string(),
             ns: quant_ns,
             reference_ns: Some(f32_ns),

@@ -1,42 +1,32 @@
 //! Micro-benchmark of the optimized compute kernels against their
 //! reference implementations: blocked GEMM, the interior/border pad
-//! convolution split, the galloping contact bracket, and the opt-in
-//! sorted contact solver — plus one end-to-end labeling run so kernel
-//! wins are tied to pipeline wall-clock.
+//! convolution split and the galloping contact bracket — plus one
+//! end-to-end labeling run so kernel wins are tied to pipeline
+//! wall-clock.
 //!
 //! Hand-rolled harness (no criterion): each op is timed as the best of
 //! several samples after warmup, with the iteration count calibrated so
 //! a sample runs long enough to dominate timer noise. Results go to
 //! stdout as a table and to `BENCH_kernels.json` at the repo root
 //! (override with `NEURFILL_BENCH_OUT`) as machine-readable records:
-//! `{op, shape, tier, backend, ns_per_iter, reference_ns_per_iter,
-//! speedup}`. The write merges: rows owned by other benches (`infer`'s
+//! `{op, shape, backend, ns_per_iter, reference_ns_per_iter, speedup}`.
+//! The write merges: rows owned by other benches (`infer`'s
 //! `unet_infer`) are preserved.
 //!
-//! `tier` tracks the numerics tier a row certifies: `exact` rows compare
-//! the bit-exact optimized kernels against their references; `fast` rows
-//! compare the certified fast kernels (FFT pad convolution, FMA GEMM)
-//! against the exact tier, so the exact/fast gap per shape is recorded
-//! alongside the exact-kernel wins. `backend` is the tensor backend the
-//! row ran on — every kernel here is the f32 `cpu` backend; quantized
-//! rows come from the `infer` bench.
+//! `backend` is the tensor backend the row ran on — every kernel here is
+//! the f32 `cpu` backend; quantized rows come from the `infer` bench.
 //!
-//! The end-to-end entries time the full labeling pipeline on the current
-//! build: the `exact` row's reference column comes from
-//! `NEURFILL_BASELINE_LABELING_NS` (measured on a pre-optimization
-//! checkout) when set, else it is null; the `fast` row re-runs the same
-//! corpus under the fast numerics tier with the exact-tier run as its
-//! reference.
+//! The end-to-end entry times the full labeling pipeline on the current
+//! build; its reference column comes from `NEURFILL_BASELINE_LABELING_NS`
+//! (measured on a pre-optimization checkout) when set, else it is null.
 
 use neurfill_bench::records::{merge_into, output_path, print_table, BenchRecord};
-use neurfill_cmpsim::contact::{
-    solve_reference_plane, solve_reference_plane_reference, solve_reference_plane_sorted,
-};
-use neurfill_cmpsim::{NumericsTier, PadKernel, ProcessParams};
+use neurfill_cmpsim::contact::{solve_reference_plane, solve_reference_plane_reference};
+use neurfill_cmpsim::{PadKernel, ProcessParams};
 use neurfill_data::LabelConfig;
 use neurfill_layout::benchmark_designs;
 use neurfill_layout::datagen::DataGenConfig;
-use neurfill_tensor::kernels::{gemm, gemm_reference, gemm_tiered};
+use neurfill_tensor::kernels::{gemm, gemm_reference};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -88,15 +78,8 @@ fn time_pair_ns(mut reference: impl FnMut(), mut optimized: impl FnMut()) -> (f6
 
 /// Shorthand constructor: every row in this bench runs on the f32 `cpu`
 /// backend.
-fn row(op: &str, shape: String, tier: &str, ns: f64, reference_ns: Option<f64>) -> BenchRecord {
-    BenchRecord {
-        op: op.to_string(),
-        shape,
-        tier: tier.to_string(),
-        backend: "cpu".to_string(),
-        ns,
-        reference_ns,
-    }
+fn row(op: &str, shape: String, ns: f64, reference_ns: Option<f64>) -> BenchRecord {
+    BenchRecord { op: op.to_string(), shape, backend: "cpu".to_string(), ns, reference_ns }
 }
 
 fn random_f32(rng: &mut StdRng, len: usize) -> Vec<f32> {
@@ -138,14 +121,9 @@ fn bench_gemm(rows: &mut Vec<BenchRecord>) {
         let mut out2 = vec![0.0f32; m * n];
         let (legacy_ns, ns) =
             time_pair_ns(|| gemm_legacy(&a, &b, &mut out, m, k, n), || gemm(&a, &b, &mut out2, m, k, n));
-        rows.push(row("gemm", format!("{m}x{k}x{n}"), "exact", ns, Some(legacy_ns)));
+        rows.push(row("gemm", format!("{m}x{k}x{n}"), ns, Some(legacy_ns)));
         let reference_ns = time_ns(|| gemm_reference(&a, &b, &mut out, m, k, n));
-        rows.push(row("gemm_oracle", format!("{m}x{k}x{n}"), "exact", ns, Some(reference_ns)));
-        // Fast tier: the FMA-contracted micro-kernel against the exact
-        // blocked kernel (single thread each; reference = exact tier).
-        let exact_ns = time_ns(|| gemm_tiered(&a, &b, &mut out, m, k, n, 1, NumericsTier::Exact));
-        let fast_ns = time_ns(|| gemm_tiered(&a, &b, &mut out2, m, k, n, 1, NumericsTier::Fast));
-        rows.push(row("gemm", format!("{m}x{k}x{n}"), "fast", fast_ns, Some(exact_ns)));
+        rows.push(row("gemm_oracle", format!("{m}x{k}x{n}"), ns, Some(reference_ns)));
     }
 }
 
@@ -162,27 +140,7 @@ fn bench_pad_kernel(rows: &mut Vec<BenchRecord>) {
             },
             || kernel.apply_into(&field, r, c, &mut out),
         );
-        rows.push(row("pad_kernel", format!("{r}x{c}_r{radius}"), "exact", ns, Some(reference_ns)));
-    }
-}
-
-/// Fast tier: FFT pad convolution against the exact spatial kernel at
-/// large radii — the regime the tier exists for. The acceptance bar is
-/// >= 2x at radius >= 32.
-fn bench_pad_fft(rows: &mut Vec<BenchRecord>) {
-    let shapes = [(64usize, 64usize, 8usize), (64, 64, 32), (128, 128, 32), (128, 128, 64)];
-    let mut rng = StdRng::seed_from_u64(17);
-    for (r, c, radius) in shapes {
-        let kernel = PadKernel::exponential(0.06 * radius as f64, radius);
-        let fast = kernel.clone().with_tier(NumericsTier::Fast);
-        let field = random_f64(&mut rng, r * c);
-        let mut out = vec![0.0f64; r * c];
-        let mut out2 = vec![0.0f64; r * c];
-        let (spatial_ns, fft_ns) = time_pair_ns(
-            || kernel.apply_into(&field, r, c, &mut out),
-            || fast.apply_into(&field, r, c, &mut out2),
-        );
-        rows.push(row("pad_kernel", format!("{r}x{c}_r{radius}"), "fast", fft_ns, Some(spatial_ns)));
+        rows.push(row("pad_kernel", format!("{r}x{c}_r{radius}"), ns, Some(reference_ns)));
     }
 }
 
@@ -199,11 +157,7 @@ fn bench_contact(rows: &mut Vec<BenchRecord>) {
                 std::hint::black_box(solve_reference_plane(&heights, &params));
             },
         );
-        rows.push(row("contact_exact", format!("n{n}"), "exact", ns, Some(reference_ns)));
-        let sorted_ns = time_ns(|| {
-            std::hint::black_box(solve_reference_plane_sorted(&heights, &params));
-        });
-        rows.push(row("contact_sorted", format!("n{n}"), "fast", sorted_ns, Some(reference_ns)));
+        rows.push(row("contact_exact", format!("n{n}"), ns, Some(reference_ns)));
     }
 }
 
@@ -213,46 +167,35 @@ fn bench_contact(rows: &mut Vec<BenchRecord>) {
 fn bench_labeling(rows: &mut Vec<BenchRecord>) {
     const LAYOUTS: usize = 8;
     let sources = benchmark_designs(12, 12, 1);
-    let config = |numerics: NumericsTier| LabelConfig {
+    let config = LabelConfig {
         num_layouts: LAYOUTS,
         samples_per_shard: 16,
         workers: 1,
         datagen: DataGenConfig { rows: 16, cols: 16, seed: 5, ..DataGenConfig::default() },
         process: ProcessParams::fast(),
-        numerics,
         ..LabelConfig::default()
     };
     let dir = std::env::temp_dir().join(format!("nf_bench_kernels_{}", std::process::id()));
-    let exact = config(NumericsTier::Exact);
     let ns = time_ns(|| {
-        let report = neurfill_data::generate_labeled_shards(sources.clone(), &exact, &dir).unwrap();
+        let report = neurfill_data::generate_labeled_shards(sources.clone(), &config, &dir).unwrap();
         std::hint::black_box(report.samples);
     });
     let baseline =
         std::env::var("NEURFILL_BASELINE_LABELING_NS").ok().and_then(|v| v.parse::<f64>().ok());
-    rows.push(row("labeling_end_to_end", format!("{LAYOUTS}_layouts_16x16"), "exact", ns, baseline));
-    // Fast tier: same corpus through the certified fast kernels, judged
-    // against the exact-tier run above.
-    let fast = config(NumericsTier::Fast);
-    let fast_ns = time_ns(|| {
-        let report = neurfill_data::generate_labeled_shards(sources.clone(), &fast, &dir).unwrap();
-        std::hint::black_box(report.samples);
-    });
     let _ = std::fs::remove_dir_all(&dir);
-    rows.push(row("labeling_end_to_end", format!("{LAYOUTS}_layouts_16x16"), "fast", fast_ns, Some(ns)));
+    rows.push(row("labeling_end_to_end", format!("{LAYOUTS}_layouts_16x16"), ns, baseline));
 }
 
 /// The ops this bench owns in `BENCH_kernels.json`; other benches' rows
 /// (`unet_infer`) survive the merge.
 const OWNED_OPS: &[&str] =
-    &["gemm", "gemm_oracle", "pad_kernel", "contact_exact", "contact_sorted", "labeling_end_to_end"];
+    &["gemm", "gemm_oracle", "pad_kernel", "contact_exact", "labeling_end_to_end"];
 
 fn main() {
     // `cargo bench` passes `--bench`; a bare `--no-run` build never gets here.
     let mut rows = Vec::new();
     bench_gemm(&mut rows);
     bench_pad_kernel(&mut rows);
-    bench_pad_fft(&mut rows);
     bench_contact(&mut rows);
     bench_labeling(&mut rows);
 

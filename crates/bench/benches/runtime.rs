@@ -1,7 +1,7 @@
-//! Criterion benchmark of window-batched surrogate inference — the payoff
-//! of the runtime's batch server: one multi-sample forward through the
-//! inference fast path versus the same windows predicted one at a time
-//! through the standard per-window forward.
+//! Criterion benchmark of window-batched surrogate inference — how the
+//! runtime verifies a job: one multi-sample forward through the inference
+//! fast path versus the same windows predicted one at a time through the
+//! standard per-window forward.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neurfill::extraction::{ExtractionConfig, NUM_CHANNELS};
@@ -29,8 +29,7 @@ fn network() -> CmpNeuralNetwork {
     net
 }
 
-/// `BATCH` windows drawn from the benchmark designs, as the batch server
-/// would receive them from concurrent verification jobs.
+/// `BATCH` windows drawn from the benchmark designs.
 fn windows() -> Vec<(Layout, usize)> {
     let kinds = [DesignKind::CmpTest, DesignKind::Fpga, DesignKind::RiscV];
     let mut windows = Vec::with_capacity(BATCH);
@@ -54,8 +53,7 @@ fn bench_batched_vs_single(c: &mut Criterion) {
     let samples: Vec<_> =
         windows.iter().map(|(l, layer)| net.extract_window_sample(l, *layer).unwrap()).collect();
 
-    // Baseline: one standard forward per window (what verification does
-    // without the runtime's batch server).
+    // Baseline: one standard forward per window.
     group.bench_function(format!("single_window_x{BATCH}"), |b| {
         b.iter(|| {
             for (layout, layer) in &windows {

@@ -11,16 +11,14 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One benchmark row: an op timed on a backend at a numerics tier,
-/// optionally against a reference implementation.
+/// One benchmark row: an op timed on a backend, optionally against a
+/// reference implementation.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
     /// Operation name (`gemm`, `unet_infer`, …) — the merge key.
     pub op: String,
     /// Problem shape label (`8x54x8192`, `batch8_32x32`, …).
     pub shape: String,
-    /// Numerics tier the row certifies (`exact` or `fast`).
-    pub tier: String,
     /// Tensor backend the row ran on (`cpu` or `quant`).
     pub backend: String,
     /// Best-of-samples wall-clock per iteration.
@@ -47,11 +45,10 @@ impl BenchRecord {
     #[must_use]
     pub fn to_json_line(&self) -> String {
         format!(
-            "{{\"op\": \"{}\", \"shape\": \"{}\", \"tier\": \"{}\", \"backend\": \"{}\", \
+            "{{\"op\": \"{}\", \"shape\": \"{}\", \"backend\": \"{}\", \
              \"ns_per_iter\": {:.1}, \"reference_ns_per_iter\": {}, \"speedup\": {}}}",
             self.op,
             self.shape,
-            self.tier,
             self.backend,
             self.ns,
             Self::json_f64(self.reference_ns),
@@ -115,8 +112,8 @@ pub fn merge_into(path: &Path, replace_ops: &[&str], rows: &[BenchRecord]) -> io
 /// Prints the standard stdout table for a slice of records.
 pub fn print_table(rows: &[BenchRecord]) {
     println!(
-        "{:<20} {:<20} {:<6} {:<8} {:>14} {:>16} {:>9}",
-        "op", "shape", "tier", "backend", "ns/iter", "reference", "speedup"
+        "{:<20} {:<20} {:<8} {:>14} {:>16} {:>9}",
+        "op", "shape", "backend", "ns/iter", "reference", "speedup"
     );
     for row in rows {
         let speedup = match row.speedup() {
@@ -128,8 +125,8 @@ pub fn print_table(rows: &[BenchRecord]) {
             None => "-".to_string(),
         };
         println!(
-            "{:<20} {:<20} {:<6} {:<8} {:>14.0} {:>16} {:>9}",
-            row.op, row.shape, row.tier, row.backend, row.ns, reference, speedup
+            "{:<20} {:<20} {:<8} {:>14.0} {:>16} {:>9}",
+            row.op, row.shape, row.backend, row.ns, reference, speedup
         );
     }
 }
@@ -142,7 +139,6 @@ mod tests {
         BenchRecord {
             op: op.to_string(),
             shape: "s".to_string(),
-            tier: "exact".to_string(),
             backend: "cpu".to_string(),
             ns,
             reference_ns: Some(2.0 * ns),

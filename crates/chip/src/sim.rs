@@ -13,8 +13,7 @@
 
 use crate::source::ChipSource;
 use neurfill_cmpsim::{
-    simulate_layer_sharded, ChipProfile, ContactSolve, LayerInput, NumericsTier, PadKernel,
-    ProcessParams, TileShard,
+    simulate_layer_sharded, ChipProfile, LayerInput, PadKernel, ProcessParams, TileShard,
 };
 use neurfill_obs::Telemetry;
 use neurfill_runtime::parallel_map_ordered;
@@ -30,42 +29,15 @@ pub struct ChipSimConfig {
     pub tile: usize,
     /// Shard-mapper worker threads (`0` = runtime default).
     pub workers: usize,
-    /// Reference-plane solver variant.
-    pub contact_solve: ContactSolve,
-    /// Numerics tier of the pad-smoothing kernel. `Exact` (the default)
-    /// keeps the byte-identical-to-monolithic contract; `Fast` opts into
-    /// the certified FFT convolution (pair it with
-    /// [`ContactSolve::SortedPrefix`], e.g. via
-    /// [`ChipSimConfig::with_numerics`], for the full fast tier).
-    pub numerics: NumericsTier,
     /// Telemetry sink for `chip.*` metrics (disabled by default).
     pub telemetry: Telemetry,
 }
 
 impl ChipSimConfig {
     /// Fast-parameter config with the given tile edge and worker count.
-    /// ("Fast" here means cheap *process parameters*; the numerics tier
-    /// stays `Exact`.)
     #[must_use]
     pub fn fast(tile: usize, workers: usize) -> Self {
-        Self {
-            params: ProcessParams::fast(),
-            tile,
-            workers,
-            contact_solve: ContactSolve::Exact,
-            numerics: NumericsTier::Exact,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Selects a numerics tier: sets the kernel tier and the tier's
-    /// default contact solver ([`ContactSolve::for_tier`]). Set
-    /// `contact_solve` afterwards to override the solver alone.
-    #[must_use]
-    pub fn with_numerics(mut self, tier: NumericsTier) -> Self {
-        self.numerics = tier;
-        self.contact_solve = ContactSolve::for_tier(tier);
-        self
+        Self { params: ProcessParams::fast(), tile, workers, telemetry: Telemetry::disabled() }
     }
 }
 
@@ -99,8 +71,7 @@ impl ChipSimulator {
     /// Returns a message when the parameters are invalid.
     pub fn new(cfg: ChipSimConfig) -> Result<Self, String> {
         cfg.params.validate()?;
-        let kernel = PadKernel::exponential(cfg.params.character_length, cfg.params.kernel_radius)
-            .with_tier(cfg.numerics);
+        let kernel = PadKernel::exponential(cfg.params.character_length, cfg.params.kernel_radius);
         Ok(Self { cfg, kernel })
     }
 
@@ -160,15 +131,8 @@ impl ChipSimulator {
                 .into_iter()
                 .collect::<Result<Vec<_>, String>>()
                 .map_err(|e| format!("layer {l}: {e}"))?;
-            let (profile, shard_stats, _) = simulate_layer_sharded(
-                shards,
-                rows,
-                cols,
-                &self.cfg.params,
-                &self.kernel,
-                self.cfg.contact_solve,
-                &map,
-            );
+            let (profile, shard_stats, _) =
+                simulate_layer_sharded(shards, rows, cols, &self.cfg.params, &self.kernel, &map);
             stats.halo_bytes += shard_stats.halo_cells_exchanged * 8;
             stats.force_evals += shard_stats.force_evals;
             t.counter("chip.layers").inc();

@@ -13,8 +13,19 @@ use neurfill_layout::{apply_fill, DesignKind, DesignSpec, FullChipSpec, Layout, 
 const TILES: [usize; 3] = [0, 8, 4]; // whole chip, 2x2 grid, 4x4 grid on 16x16
 const WORKERS: [usize; 3] = [1, 2, 8];
 
+/// Radius-8 parameters: a kernel four times wider than `fast()`'s, so
+/// halos span whole neighbouring tiles at the 4×4 grid.
+fn wide_kernel_params() -> ProcessParams {
+    ProcessParams { steps: 10, kernel_radius: 8, character_length: 3.0, ..ProcessParams::default() }
+}
+
 fn sharded(layout: &Layout, tile: usize, workers: usize) -> ChipProfile {
-    let sim = ChipSimulator::new(ChipSimConfig::fast(tile, workers)).unwrap();
+    sharded_with(layout, ProcessParams::fast(), tile, workers)
+}
+
+fn sharded_with(layout: &Layout, params: ProcessParams, tile: usize, workers: usize) -> ChipProfile {
+    let sim =
+        ChipSimulator::new(ChipSimConfig { params, ..ChipSimConfig::fast(tile, workers) }).unwrap();
     let (profile, stats) = sim.simulate(layout).unwrap();
     assert_eq!(stats.tiles, sim.tiling_for(layout).num_tiles());
     profile
@@ -22,15 +33,16 @@ fn sharded(layout: &Layout, tile: usize, workers: usize) -> ChipProfile {
 
 #[test]
 fn sharded_simulation_matches_monolithic_at_every_tile_size_and_worker_count() {
-    let params = ProcessParams::fast();
-    let mono_sim = CmpSimulator::new(params.clone()).unwrap();
-    for kind in [DesignKind::CmpTest, DesignKind::Fpga, DesignKind::RiscV] {
-        let layout = DesignSpec::new(kind, 16, 16, 7).generate();
-        let mono = mono_sim.simulate(&layout);
-        for tile in TILES {
-            for workers in WORKERS {
-                let profile = sharded(&layout, tile, workers);
-                assert_eq!(profile, mono, "{kind:?} tile={tile} workers={workers}");
+    for params in [ProcessParams::fast(), wide_kernel_params()] {
+        let mono_sim = CmpSimulator::new(params.clone()).unwrap();
+        for kind in [DesignKind::CmpTest, DesignKind::Fpga, DesignKind::RiscV] {
+            let layout = DesignSpec::new(kind, 16, 16, 7).generate();
+            let mono = mono_sim.simulate(&layout);
+            for tile in TILES {
+                for workers in WORKERS {
+                    let profile = sharded_with(&layout, params.clone(), tile, workers);
+                    assert_eq!(profile, mono, "{kind:?} tile={tile} workers={workers}");
+                }
             }
         }
     }

@@ -11,10 +11,9 @@ use neurfill_layout::{DesignKind, FullChipSpec, Tiling};
 use neurfill_nn::{UNet, UNetConfig};
 use neurfill_obs::Telemetry;
 use neurfill_optim::SqpConfig;
-use neurfill_runtime::{BatchConfig, ModelBundle, PoolOptions, RuntimePool};
+use neurfill_runtime::{ModelBundle, PoolOptions, RuntimePool};
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn bundle() -> Arc<ModelBundle> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -42,16 +41,9 @@ fn flow_config() -> FlowConfig {
 fn synthesize(workers: usize, max_in_flight: usize, telemetry: Telemetry) -> (ChipFillPlan, usize) {
     let design = FullChipSpec::new(DesignKind::Fpga, 16, 16, 9).build();
     let tiling = Tiling::square(16, 16, 8, ProcessParams::fast().kernel_radius);
-    let pool = RuntimePool::new(
-        bundle(),
-        flow_config(),
-        PoolOptions {
-            workers,
-            batch: BatchConfig { max_batch: 8, linger: Duration::from_millis(2) },
-            ..PoolOptions::default()
-        },
-    )
-    .unwrap();
+    let pool =
+        RuntimePool::new(bundle(), flow_config(), PoolOptions { workers, ..PoolOptions::default() })
+            .unwrap();
     let out = synthesize_tiles(
         &pool,
         &design,

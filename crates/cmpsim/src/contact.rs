@@ -6,28 +6,15 @@
 //! floats so that the mean window pressure balances the applied pressure.
 //! `z_ref` is found by bisection (the force balance is strictly monotone).
 //!
-//! Two solvers are provided:
-//!
-//! * [`solve_reference_plane`] — the default, **bit-identical** to the
-//!   pre-optimization solver (kept as [`solve_reference_plane_reference`])
-//!   on every input where that solver terminates. It hoists the min/max
-//!   scans into a single pass, skips non-contacting windows inside the
-//!   force sum (an exact no-op: their reference contribution is `+0.0`
-//!   added to a non-negative sum), and replaces the unbounded one-step
-//!   bracket walk with a galloping + binary search over the *same*
-//!   sequential-subtraction grid — O(log) force evaluations instead of
-//!   O(steps), landing on the identical grid point bit for bit.
-//! * [`solve_reference_plane_sorted`] — an opt-in fast solver that sorts
-//!   the heights once and evaluates the force from prefix sums of the
-//!   sorted heights via binary search. At `contact_exponent == 1.0` each
-//!   bisection iteration is O(log windows); at other exponents the sum
-//!   does not decompose into prefix sums, so it falls back to summing the
-//!   contacting prefix only (still skipping the non-contacting tail
-//!   without scanning it). Its force sum runs in sorted rather than
-//!   input order, so results agree with the default solver to bisection
-//!   tolerance (~1e-9 on `z_ref`), not to the bit — which is why it is
-//!   opt-in (`CmpSimulator::with_contact_solve`) and the default path
-//!   keeps byte-reproducibility.
+//! [`solve_reference_plane`] is **bit-identical** to the
+//! pre-optimization solver (kept as [`solve_reference_plane_reference`])
+//! on every input where that solver terminates. It hoists the min/max
+//! scans into a single pass, skips non-contacting windows inside the
+//! force sum (an exact no-op: their reference contribution is `+0.0`
+//! added to a non-negative sum), and replaces the unbounded one-step
+//! bracket walk with a galloping + binary search over the *same*
+//! sequential-subtraction grid — O(log) force evaluations instead of
+//! O(steps), landing on the identical grid point bit for bit.
 
 use crate::params::ProcessParams;
 use std::cell::Cell;
@@ -35,35 +22,10 @@ use std::cell::Cell;
 /// Instrumentation from one reference-plane solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ContactSolveStats {
-    /// Number of mean-force evaluations (each O(windows) for the exact
-    /// solver; O(log windows) for the sorted solver at exponent 1).
+    /// Number of mean-force evaluations (each O(windows)).
     pub force_evals: u64,
     /// Grid steps taken while bracketing the root from below.
     pub bracket_steps: u64,
-}
-
-/// Which reference-plane solver the simulator uses per polish step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ContactSolve {
-    /// Bit-identical optimized solver (the default path).
-    #[default]
-    Exact,
-    /// Sorted prefix-sum solver: faster force evaluations, agrees to
-    /// bisection tolerance instead of to the bit.
-    SortedPrefix,
-}
-
-impl ContactSolve {
-    /// The solver each numerics tier uses by default: `Exact` keeps the
-    /// bit-identical solver, `Fast` takes the sorted prefix solver.
-    #[must_use]
-    pub fn for_tier(tier: neurfill_tensor::NumericsTier) -> Self {
-        if tier.is_fast() {
-            Self::SortedPrefix
-        } else {
-            Self::Exact
-        }
-    }
 }
 
 /// Solves for the pad reference plane `z_ref` so that
@@ -135,8 +97,8 @@ pub fn solve_reference_plane_stats(heights: &[f64], params: &ProcessParams) -> (
     (z_ref, ContactSolveStats { force_evals: evals.get(), bracket_steps })
 }
 
-/// The 200-iteration bisection shared by all solvers (verbatim from the
-/// reference implementation — same probes, same exit test).
+/// The 200-iteration bisection (verbatim from the reference
+/// implementation — same probes, same exit test).
 fn bisect(mut lo: f64, mut hi: f64, target: f64, mean_force: impl Fn(f64) -> f64) -> f64 {
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
@@ -280,100 +242,6 @@ pub fn solve_reference_plane_reference(heights: &[f64], params: &ProcessParams) 
     0.5 * (lo + hi)
 }
 
-/// Opt-in sorted prefix-sum solver (see the module docs): sorts once,
-/// then each force evaluation finds the contacting prefix by binary
-/// search — O(log windows) per evaluation at `contact_exponent == 1.0`,
-/// O(contacting windows) otherwise. Agrees with
-/// [`solve_reference_plane`] to bisection tolerance.
-///
-/// # Panics
-///
-/// Panics when `heights` is empty.
-#[must_use]
-pub fn solve_reference_plane_sorted(heights: &[f64], params: &ProcessParams) -> f64 {
-    solve_reference_plane_sorted_stats(heights, params).0
-}
-
-/// [`solve_reference_plane_sorted`] plus solve instrumentation.
-///
-/// # Panics
-///
-/// Panics when `heights` is empty.
-#[must_use]
-pub fn solve_reference_plane_sorted_stats(
-    heights: &[f64],
-    params: &ProcessParams,
-) -> (f64, ContactSolveStats) {
-    assert!(!heights.is_empty(), "need at least one window");
-    let k = params.contact_stiffness();
-    let e = params.contact_exponent;
-    let target = params.applied_pressure;
-    // NaN heights contribute zero force in the reference model
-    // (`(NaN).max(0.0) == 0.0`); drop them from the sorted view but keep
-    // the original count as the mean's denominator.
-    //
-    // The sort key is (height descending, original index ascending): the
-    // index tie-break pins one canonical summation order by construction,
-    // so the solver's result cannot depend on how `sort_unstable_by`
-    // happens to arrange equal keys — the prefix sums, and through them
-    // `z_ref`, are bit-identical however the caller assembled `heights`
-    // (monolithic, or merged from any worker count).
-    let mut indexed: Vec<(f64, usize)> =
-        heights.iter().copied().enumerate().filter(|(_, z)| !z.is_nan()).map(|(i, z)| (z, i)).collect();
-    indexed.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    let sorted: Vec<f64> = indexed.into_iter().map(|(z, _)| z).collect();
-    let n = heights.len() as f64;
-    if sorted.is_empty() {
-        return (f64::NAN, ContactSolveStats::default());
-    }
-    let mut prefix = Vec::with_capacity(sorted.len() + 1);
-    prefix.push(0.0f64);
-    for &z in &sorted {
-        let last = *prefix.last().unwrap_or(&0.0);
-        prefix.push(last + z);
-    }
-    let evals = Cell::new(0u64);
-    let mean_force = |z_ref: f64| -> f64 {
-        evals.set(evals.get() + 1);
-        // Contacting windows are exactly the first `c` of the descending
-        // sort.
-        let c = sorted.partition_point(|&z| z > z_ref);
-        if c == 0 {
-            return 0.0;
-        }
-        if e == 1.0 {
-            // Σ k·(z_i − z) over the prefix collapses onto the prefix sum.
-            k * (prefix[c] - c as f64 * z_ref) / n
-        } else {
-            let mut sum = 0.0;
-            for &z in &sorted[..c] {
-                sum += k * (z - z_ref).powf(e);
-            }
-            sum / n
-        }
-    };
-    let zmax = sorted[0];
-    let zmin = sorted[sorted.len() - 1];
-    let hi = zmax;
-    let mut lo = zmin - params.reference_penetration;
-    let mut steps = 0u64;
-    // Geometric bracket expansion (the math guarantees the first probe
-    // already exceeds the target; the loop is ulp-tie insurance).
-    let mut span = params.reference_penetration.max(1.0);
-    while mean_force(lo) < target {
-        let next = lo - span;
-        steps += 1;
-        span *= 2.0;
-        if next == lo || zmax - next > 1e7 {
-            lo = next;
-            break;
-        }
-        lo = next;
-    }
-    let z_ref = bisect(lo, hi, target, mean_force);
-    (z_ref, ContactSolveStats { force_evals: evals.get(), bracket_steps: steps })
-}
-
 /// Per-window contact pressures for the given (smoothed) envelope heights
 /// and solved reference plane.
 #[must_use]
@@ -492,19 +360,6 @@ mod tests {
         // instead of hanging like the reference loop would.
         let (lo, _) = bracket_lo(-1e300, 1.0, -1e300 + 1.0, 1.0, force);
         assert!(lo.is_finite());
-    }
-
-    #[test]
-    fn sorted_solver_agrees_with_exact_solver_to_tolerance() {
-        let mut p = ProcessParams::default();
-        let heights: Vec<f64> = (0..512).map(|i| 490.0 + ((i * 31) % 57) as f64 * 0.7).collect();
-        for exponent in [1.0, 1.5] {
-            p.contact_exponent = exponent;
-            let exact = solve_reference_plane(&heights, &p);
-            let (sorted, stats) = solve_reference_plane_sorted_stats(&heights, &p);
-            assert!((exact - sorted).abs() < 1e-6, "e={exponent}: exact {exact} vs sorted {sorted}");
-            assert!(stats.force_evals > 0);
-        }
     }
 
     #[test]

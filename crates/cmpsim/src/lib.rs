@@ -38,7 +38,6 @@ pub mod analysis;
 pub mod calibrate;
 pub mod contact;
 pub mod dsh;
-mod fft;
 pub mod kernel;
 mod numgrad;
 mod params;
@@ -47,12 +46,10 @@ mod profile;
 pub mod shard;
 mod simulator;
 
-pub use contact::{ContactSolve, ContactSolveStats};
-pub use kernel::{PadKernel, FFT_MIN_RADIUS};
-/// Re-exported from `neurfill-tensor`: the workspace-wide numerics tier.
-pub use neurfill_tensor::NumericsTier;
+pub use contact::ContactSolveStats;
+pub use kernel::PadKernel;
 pub use numgrad::FiniteDifference;
 pub use params::{ParamsDisplay, ProcessParams};
 pub use profile::{ChipProfile, LayerProfile};
 pub use shard::{map_sequential, simulate_layer_sharded, ShardMap, ShardStats, TileShard};
-pub use simulator::{CmpSimulator, LayerInput, TraceStep};
+pub use simulator::{CmpSimulator, LayerInput, NumericsTier, TraceStep};

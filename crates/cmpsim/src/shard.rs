@@ -28,9 +28,7 @@
 //! [`CmpSimulator::simulate_layer`](crate::CmpSimulator) at any tile
 //! size — the property `crates/chip` pins across worker counts.
 
-use crate::contact::{
-    solve_reference_plane_sorted_stats, solve_reference_plane_stats, window_pressures, ContactSolve,
-};
+use crate::contact::{solve_reference_plane_stats, window_pressures};
 use crate::dsh::split_pressure;
 use crate::kernel::PadKernel;
 use crate::params::ProcessParams;
@@ -327,7 +325,6 @@ pub fn simulate_layer_sharded(
     chip_cols: usize,
     params: &ProcessParams,
     kernel: &PadKernel,
-    contact_solve: ContactSolve,
     map: ShardMap<'_>,
 ) -> (LayerProfile, ShardStats, Vec<TileShard>) {
     let n = chip_rows * chip_cols;
@@ -353,10 +350,7 @@ pub fn simulate_layer_sharded(
         for s in &shards {
             s.scatter_smoothed(&mut smoothed, chip_cols);
         }
-        let (z_ref, solve_stats) = match contact_solve {
-            ContactSolve::Exact => solve_reference_plane_stats(&smoothed, params),
-            ContactSolve::SortedPrefix => solve_reference_plane_sorted_stats(&smoothed, params),
-        };
+        let (z_ref, solve_stats) = solve_reference_plane_stats(&smoothed, params);
         force_evals += solve_stats.force_evals;
         shards = map(shards, &move |mut s: TileShard| {
             s.update(z_ref, params);
@@ -405,7 +399,6 @@ mod tests {
             layout.cols(),
             params,
             &kernel,
-            ContactSolve::Exact,
             &map_sequential,
         );
         (profile, stats)

@@ -8,15 +8,24 @@
 //! modifiers); (4) the Preston equation removes material. The loop runs
 //! until the configured total polish time.
 
-use crate::contact::{
-    solve_reference_plane_sorted_stats, solve_reference_plane_stats, window_pressures, ContactSolve,
-};
+use crate::contact::{solve_reference_plane_stats, window_pressures};
 use crate::kernel::PadKernel;
 use crate::params::ProcessParams;
 use crate::profile::{ChipProfile, LayerProfile};
 use neurfill_layout::Layout;
 use neurfill_obs::Telemetry;
-use neurfill_tensor::NumericsTier;
+
+/// The numerics of the simulator's kernels. There is one tier: every
+/// kernel is bit-identical to its reference implementation at every
+/// thread count. The type stays so configurations that name a tier
+/// ([`CmpSimulator::with_numerics`], the flow configuration) keep
+/// compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum NumericsTier {
+    /// Bit-identical to the reference kernels at every thread count.
+    #[default]
+    Exact,
+}
 
 /// Extracted per-layer simulator input: the pattern maps of one layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +114,6 @@ pub struct CmpSimulator {
     params: ProcessParams,
     kernel: PadKernel,
     telemetry: Telemetry,
-    contact_solve: ContactSolve,
 }
 
 impl CmpSimulator {
@@ -117,42 +125,15 @@ impl CmpSimulator {
     pub fn new(params: ProcessParams) -> Result<Self, String> {
         params.validate()?;
         let kernel = PadKernel::exponential(params.character_length, params.kernel_radius);
-        Ok(Self {
-            params,
-            kernel,
-            telemetry: Telemetry::disabled(),
-            contact_solve: ContactSolve::default(),
-        })
+        Ok(Self { params, kernel, telemetry: Telemetry::disabled() })
     }
 
-    /// Selects the reference-plane solver. The default
-    /// ([`ContactSolve::Exact`]) is bit-identical to the pre-optimization
-    /// simulator; [`ContactSolve::SortedPrefix`] trades that for faster
-    /// force evaluations (agreement to bisection tolerance).
+    /// Selects the numerics tier. [`NumericsTier`] has the one `Exact`
+    /// tier the simulator always runs, so this changes nothing; it stays
+    /// because callers that pass a configured tier through still use it.
     #[must_use]
-    pub fn with_contact_solve(mut self, solve: ContactSolve) -> Self {
-        self.contact_solve = solve;
+    pub fn with_numerics(self, _tier: NumericsTier) -> Self {
         self
-    }
-
-    /// Switches the simulator's numerics tier as one knob:
-    /// [`NumericsTier::Exact`] (the construction default) keeps the
-    /// bit-identical kernel and contact paths; [`NumericsTier::Fast`]
-    /// puts the pad kernel on the FFT path (at radii ≥
-    /// [`crate::FFT_MIN_RADIUS`]) and takes [`ContactSolve::SortedPrefix`]
-    /// as the solver. Apply [`CmpSimulator::with_contact_solve`] *after*
-    /// this to override the solver choice while keeping the tiered kernel.
-    #[must_use]
-    pub fn with_numerics(mut self, tier: NumericsTier) -> Self {
-        self.kernel = self.kernel.with_tier(tier);
-        self.contact_solve = ContactSolve::for_tier(tier);
-        self
-    }
-
-    /// The numerics tier the simulator's pad kernel runs in.
-    #[must_use]
-    pub fn numerics(&self) -> NumericsTier {
-        self.kernel.tier()
     }
 
     /// Attaches a telemetry handle; per-stage timings (`sim.*` histograms)
@@ -250,10 +231,7 @@ impl CmpSimulator {
             self.kernel.apply_into(&envelope, input.rows, input.cols, &mut smoothed);
             let t1 = self.telemetry.now_ns();
             // (2) Contact-mechanics pressure solve.
-            let (z_ref, solve_stats) = match self.contact_solve {
-                ContactSolve::Exact => solve_reference_plane_stats(&smoothed, p),
-                ContactSolve::SortedPrefix => solve_reference_plane_sorted_stats(&smoothed, p),
-            };
+            let (z_ref, solve_stats) = solve_reference_plane_stats(&smoothed, p);
             let pressures = window_pressures(&smoothed, z_ref, p);
             let t2 = self.telemetry.now_ns();
             if let Some((kernel_h, applies, windows, force_evals)) = &kernel_meters {

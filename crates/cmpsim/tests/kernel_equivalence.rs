@@ -2,15 +2,10 @@
 //!
 //! The interior/border split of `PadKernel::apply` and the optimized
 //! contact solver must reproduce their reference implementations bit for
-//! bit — these properties compare `f64` bit patterns, never values. The
-//! opt-in sorted contact solver is held to bisection tolerance instead
-//! (its force sum runs in sorted order), and full `simulate` output is
-//! checked byte-identical between plain and instrumented simulators.
+//! bit — these properties compare `f64` bit patterns, never values.
 
-use neurfill_cmpsim::contact::{
-    solve_reference_plane, solve_reference_plane_reference, solve_reference_plane_sorted,
-};
-use neurfill_cmpsim::{CmpSimulator, ContactSolve, NumericsTier, PadKernel, ProcessParams};
+use neurfill_cmpsim::contact::{solve_reference_plane, solve_reference_plane_reference};
+use neurfill_cmpsim::{PadKernel, ProcessParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,74 +72,6 @@ proptest! {
         let got = solve_reference_plane(&heights, &params);
         prop_assert_eq!(want.to_bits(), got.to_bits(), "{} vs {}", want, got);
     }
-
-    // Fast-tier FFT path vs the spatial path on random grids — every
-    // clip class (boards smaller than the window are all border), odd
-    // and even extents — within the documented per-pixel tolerance
-    // |fft − spatial| ≤ 1e-9 · (|spatial| + max|field|).
-    #[test]
-    fn fft_kernel_tracks_spatial_kernel(
-        rows in 1usize..24,
-        cols in 1usize..24,
-        radius in 0usize..6,
-        character_length in 0.4f64..4.0,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xfff7_0001);
-        let field = random_field(&mut rng, rows * cols);
-        let fmax = field.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let kernel = PadKernel::exponential(character_length, radius);
-        let spatial = kernel.apply(&field, rows, cols);
-        let fft = kernel.apply_fft(&field, rows, cols);
-        for (i, (s, f)) in spatial.iter().zip(&fft).enumerate() {
-            let bound = 1e-9 * (s.abs() + fmax);
-            prop_assert!(
-                (s - f).abs() <= bound,
-                "{}x{} r={} element {}: spatial {} vs fft {} (bound {:e})",
-                rows, cols, radius, i, s, f, bound
-            );
-        }
-    }
-
-    // A Fast-tier kernel below the FFT crossover radius shares the
-    // spatial path bit for bit — the tier switch alone must not change
-    // small-radius results.
-    #[test]
-    fn fast_tier_below_crossover_is_bitwise_spatial(
-        rows in 1usize..20,
-        cols in 1usize..20,
-        radius in 0usize..5,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0dd5_eed5);
-        let field = random_field(&mut rng, rows * cols);
-        let exact = PadKernel::exponential(1.5, radius);
-        let fast = exact.clone().with_tier(NumericsTier::Fast);
-        let a = exact.apply(&field, rows, cols);
-        let b = fast.apply(&field, rows, cols);
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    // Sorted prefix-sum solver agrees with the exact solver to bisection
-    // tolerance (it is opt-in precisely because it is not bit-identical).
-    #[test]
-    fn sorted_solver_tracks_exact_solver(
-        n in 1usize..300,
-        spread in 0.5f64..80.0,
-        exponent in prop_oneof![Just(1.0f64), Just(1.5)],
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let heights: Vec<f64> =
-            (0..n).map(|_| 500.0 + rng.gen_range(0.0..=1.0) * spread).collect();
-        let params =
-            ProcessParams { contact_exponent: exponent, ..ProcessParams::default() };
-        let exact = solve_reference_plane(&heights, &params);
-        let sorted = solve_reference_plane_sorted(&heights, &params);
-        prop_assert!((exact - sorted).abs() < 1e-6, "{} vs {}", exact, sorted);
-    }
 }
 
 /// Degenerate pad-kernel grids: single row / single column strips where
@@ -177,27 +104,6 @@ fn contact_solver_matches_reference_on_flat_fields() {
             let want = solve_reference_plane_reference(&heights, &params);
             let got = solve_reference_plane(&heights, &params);
             assert_eq!(want.to_bits(), got.to_bits(), "n={n} h={h}");
-        }
-    }
-}
-
-/// Full-chip simulation through the default (exact) path is byte-identical
-/// between the plain simulator and one with the sorted solver only when
-/// the former is used; the sorted solver stays within physical tolerance.
-#[test]
-fn simulate_is_unchanged_by_default_and_close_under_sorted_solver() {
-    use neurfill_layout::{DesignKind, DesignSpec};
-    let layout = DesignSpec::new(DesignKind::CmpTest, 10, 10, 3).generate();
-    let sim = CmpSimulator::new(ProcessParams::fast()).unwrap();
-    let exact = sim.clone().with_contact_solve(ContactSolve::Exact).simulate(&layout);
-    let default = sim.simulate(&layout);
-    assert_eq!(exact, default, "Exact must be the default solver");
-    let sorted = sim.with_contact_solve(ContactSolve::SortedPrefix).simulate(&layout);
-    for layer in 0..default.num_layers() {
-        let a = default.layer(layer);
-        let b = sorted.layer(layer);
-        for (x, y) in a.heights().iter().zip(b.heights()) {
-            assert!((x - y).abs() < 1e-5, "sorted solver drifted: {x} vs {y}");
         }
     }
 }

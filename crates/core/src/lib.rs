@@ -76,8 +76,7 @@ pub use neurfill_obs as telemetry;
 pub use cancel::CancelToken;
 pub use cmp_nn::{CmpNeuralNetwork, CmpNnConfig, HeightNorm, PlanarityEval};
 pub use framework::{FillObjective, FillOutcome, NeurFill, NeurFillConfig, StartMode};
-/// Re-exported from `neurfill-cmpsim`: the workspace-wide numerics tier
-/// selecting between bit-exact reference kernels and the certified fast
-/// (FFT / FMA / sorted-contact) kernels.
+/// Re-exported from `neurfill-cmpsim`: the one-variant numerics tier of
+/// [`pipeline::FlowConfig::numerics`].
 pub use neurfill_cmpsim::NumericsTier;
 pub use score::{Alphas, Coefficients, PlanarityMetrics, ScoreBreakdown};

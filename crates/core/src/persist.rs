@@ -143,8 +143,10 @@ pub fn load_network<R: Read>(r: R) -> io::Result<CmpNeuralNetwork> {
 ///
 /// Propagates file-system errors.
 pub fn save_to_file(network: &CmpNeuralNetwork, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    save_network(network, io::BufWriter::new(f))
+    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
+    save_network(network, &mut w)?;
+    // Dropping a `BufWriter` would discard the error of its final flush.
+    w.flush()
 }
 
 /// Loads a network bundle from a file path.
@@ -173,6 +175,26 @@ mod tests {
             ExtractionConfig { perimeter_scale: 77_000.0, ..ExtractionConfig::default() },
             CmpNnConfig::default(),
         )
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_to_file_reports_the_final_flush_error() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let unet = UNet::new(
+            UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 1, depth: 1 },
+            &mut rng,
+        );
+        let net = CmpNeuralNetwork::new(
+            unet,
+            HeightNorm::default(),
+            ExtractionConfig::default(),
+            CmpNnConfig::default(),
+        );
+        let mut buf = Vec::new();
+        save_network(&net, &mut buf).unwrap();
+        assert!(buf.len() < 8 * 1024, "payload must fit the write buffer: {}", buf.len());
+        assert!(save_to_file(&net, "/dev/full").is_err());
     }
 
     #[test]

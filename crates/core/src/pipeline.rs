@@ -34,11 +34,9 @@ pub struct FlowConfig {
     pub beta_time_s: f64,
     /// Master seed.
     pub seed: u64,
-    /// Numerics tier of the golden simulator. `Exact` (the default) keeps
-    /// every output bit-identical to the reference kernels; `Fast` opts
-    /// into the certified FFT/FMA/sorted-contact kernels (see the
-    /// `neurfill_cmpsim::kernel` and `neurfill_tensor::numerics` docs for
-    /// the tolerance contracts).
+    /// Numerics tier of the golden simulator. [`NumericsTier`] has one
+    /// tier, `Exact`, so this selects nothing; it stays so code that
+    /// passes it on to [`CmpSimulator::with_numerics`] keeps compiling.
     pub numerics: NumericsTier,
     /// Tensor backend of the surrogate's inference paths. `Cpu` (the
     /// default) keeps every UNet output bit-identical to the f32 reference;
@@ -105,9 +103,7 @@ impl FillingFlow {
     /// training fails (geometry misconfiguration).
     pub fn prepare(sources: &[Layout], config: FlowConfig) -> Result<Self, String> {
         let _prepare_span = config.telemetry.span("flow.prepare_ns");
-        let sim = CmpSimulator::new(config.process.clone())?
-            .with_numerics(config.numerics)
-            .with_telemetry(config.telemetry.clone());
+        let sim = CmpSimulator::new(config.process.clone())?.with_telemetry(config.telemetry.clone());
         let mut rng = StdRng::seed_from_u64(config.seed);
         let trained =
             train_surrogate(sources, &sim, &config.surrogate, &mut rng).map_err(|e| e.to_string())?;
@@ -124,9 +120,7 @@ impl FillingFlow {
         network: impl Into<Rc<CmpNeuralNetwork>>,
         config: FlowConfig,
     ) -> Result<Self, String> {
-        let sim = CmpSimulator::new(config.process.clone())?
-            .with_numerics(config.numerics)
-            .with_telemetry(config.telemetry.clone());
+        let sim = CmpSimulator::new(config.process.clone())?.with_telemetry(config.telemetry.clone());
         Ok(Self {
             sim,
             network: network.into(),

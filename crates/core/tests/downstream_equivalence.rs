@@ -1,29 +1,22 @@
-//! Certification harness for the Fast numerics tier (downstream layer).
+//! Certification harness for the quantized tensor backend (downstream
+//! layer).
 //!
-//! The per-kernel bounds live in `neurfill-tensor` (FMA GEMM) and
-//! `neurfill-cmpsim` (FFT pad convolution, sorted contact). This suite
-//! certifies the quantities a *user* of the flow actually consumes —
-//! surrogate planarity score `S_plan` and its gradient, simulator-side
-//! numeric gradients, the contact reference plane, synthesized fill
-//! amounts and post-CMP ΔH on designs A/B/C — agreeing between the Exact
-//! and Fast tiers within stated tolerances, at 1 and 8 GEMM threads.
+//! This suite certifies the quantities a *user* of the flow actually
+//! consumes under the `QuantCpu` backend: `S_plan` through the score-only
+//! inference seam, the untouched f32 gradient path, and flow-level fill
+//! totals / ΔH on designs A/B/C, each bit-deterministic across thread
+//! counts.
 //!
-//! The quantized tensor backend is certified the same way: `S_plan`
-//! through the score-only inference seam, the untouched f32 gradient
-//! path, and flow-level fill totals / ΔH on designs A/B/C, each
-//! bit-deterministic across thread counts.
-//!
-//! The GEMM tier and tensor backend are process-global (they sit behind
-//! `NdArray::matmul` / `CmpNeuralNetwork::infer`), so every test that
-//! flips either holds [`tier_lock`] and restores `Exact` + `Cpu` on drop
-//! — tests in this binary may run concurrently.
+//! The tensor backend is process-global (it sits behind
+//! `CmpNeuralNetwork::infer`), so every test that flips it holds
+//! [`backend_lock`] and restores `Cpu` on drop — tests in this binary may
+//! run concurrently.
 
 use neurfill::extraction::{extract_layer_arrays, ExtractionConfig, NUM_CHANNELS};
 use neurfill::pipeline::{FillingFlow, FlowConfig};
 use neurfill::surrogate::SurrogateConfig;
-use neurfill::{CmpNeuralNetwork, CmpNnConfig, Coefficients, HeightNorm, NumericsTier};
-use neurfill_cmpsim::contact::{solve_reference_plane, solve_reference_plane_sorted};
-use neurfill_cmpsim::{CmpSimulator, FiniteDifference, ProcessParams, FFT_MIN_RADIUS};
+use neurfill::{CmpNeuralNetwork, CmpNnConfig, Coefficients, HeightNorm};
+use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_layout::{
     apply_fill, benchmark_designs, DesignKind, DesignSpec, DummySpec, FillPlan, Layout,
@@ -31,25 +24,24 @@ use neurfill_layout::{
 use neurfill_nn::calibrate;
 use neurfill_nn::{TrainConfig, UNet, UNetConfig};
 use neurfill_tensor::kernels::set_gemm_threads;
-use neurfill_tensor::{set_backend, set_numerics_tier, BackendKind};
+use neurfill_tensor::{set_backend, BackendKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::rc::Rc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serializes process-global tier/backend/thread mutation within this
-/// binary and restores the Exact tier, the f32 `Cpu` backend and
-/// single-threaded GEMM when dropped.
-struct TierLock(#[allow(dead_code)] MutexGuard<'static, ()>);
+/// Serializes process-global backend/thread mutation within this binary
+/// and restores the f32 `Cpu` backend and single-threaded GEMM when
+/// dropped.
+struct BackendLock(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-fn tier_lock() -> TierLock {
+fn backend_lock() -> BackendLock {
     static LOCK: Mutex<()> = Mutex::new(());
-    TierLock(LOCK.lock().unwrap_or_else(PoisonError::into_inner))
+    BackendLock(LOCK.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
-impl Drop for TierLock {
+impl Drop for BackendLock {
     fn drop(&mut self) {
-        set_numerics_tier(NumericsTier::Exact);
         set_backend(BackendKind::Cpu);
         set_gemm_threads(1);
     }
@@ -59,15 +51,9 @@ impl Drop for TierLock {
 const DESIGNS: [(DesignKind, u64); 3] =
     [(DesignKind::CmpTest, 11), (DesignKind::Fpga, 12), (DesignKind::RiscV, 13)];
 
-/// Process parameters at an FFT-engaging radius (`>= FFT_MIN_RADIUS`), so
-/// the Fast tier genuinely swaps the pad-convolution kernel.
-fn fft_params() -> ProcessParams {
-    ProcessParams {
-        steps: 10,
-        kernel_radius: FFT_MIN_RADIUS,
-        character_length: 3.0,
-        ..ProcessParams::default()
-    }
+/// Process parameters with a radius-8 pad kernel.
+fn wide_kernel_params() -> ProcessParams {
+    ProcessParams { steps: 10, kernel_radius: 8, character_length: 3.0, ..ProcessParams::default() }
 }
 
 fn untrained_network() -> CmpNeuralNetwork {
@@ -87,168 +73,6 @@ fn untrained_network() -> CmpNeuralNetwork {
 /// A mid-slack fill vector (30% of every window's capacity).
 fn mid_fill(layout: &Layout) -> Vec<f64> {
     layout.slack_vector().into_iter().map(|s| 0.3 * s).collect()
-}
-
-/// `S_plan` and `∇S_plan` through the surrogate: the Fast tier (FMA GEMM)
-/// agrees with Exact within a stated tolerance, is bit-deterministic
-/// across GEMM thread counts, and Exact itself is bitwise thread-stable
-/// (its contract, re-pinned here end to end through the network).
-///
-/// Stated tolerances (f32 forward/backward, tiny UNet):
-/// score |Δ| ≤ 1e-4 · (|S_exact| + 1); gradient per element
-/// |Δ| ≤ 1e-3 · (‖∇‖∞ + 1e-9).
-#[test]
-fn s_plan_and_gradient_agree_between_tiers_at_all_thread_counts() {
-    let _guard = tier_lock();
-    let net = untrained_network();
-    let layout = DesignSpec::new(DesignKind::CmpTest, 8, 8, 5).generate();
-    let sim = CmpSimulator::new(fft_params()).unwrap();
-    let coeffs = Coefficients::calibrate(&layout, &sim.simulate(&layout), 60.0);
-    let x = mid_fill(&layout);
-
-    let mut per_tier = Vec::new();
-    for tier in [NumericsTier::Exact, NumericsTier::Fast] {
-        set_numerics_tier(tier);
-        let mut evals = Vec::new();
-        for threads in [1usize, 8] {
-            set_gemm_threads(threads);
-            evals.push(net.planarity(&layout, &x, &coeffs).unwrap());
-        }
-        let (one, eight) = (&evals[0], &evals[1]);
-        assert_eq!(one.score.to_bits(), eight.score.to_bits(), "{tier}: S_plan depends on threads");
-        for (a, b) in one.gradient.iter().zip(&eight.gradient) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{tier}: ∇S_plan depends on threads");
-        }
-        per_tier.push(evals.remove(0));
-    }
-    let (exact, fast) = (&per_tier[0], &per_tier[1]);
-    assert!(
-        (exact.score - fast.score).abs() <= 1e-4 * (exact.score.abs() + 1.0),
-        "S_plan drifted: exact={} fast={}",
-        exact.score,
-        fast.score
-    );
-    let ginf = exact.gradient.iter().fold(0.0f64, |m, g| m.max(g.abs()));
-    for (i, (a, b)) in exact.gradient.iter().zip(&fast.gradient).enumerate() {
-        assert!(
-            (a - b).abs() <= 1e-3 * (ginf + 1e-9),
-            "∇S_plan[{i}] drifted: exact={a} fast={b} (‖∇‖∞={ginf})"
-        );
-    }
-}
-
-/// Simulator-side numeric gradients (the conventional-flow machinery the
-/// paper replaces): finite differences of post-CMP ΔH w.r.t. the fill
-/// vector agree between tiers. Per-evaluation tier drift is ≤ 2e-5 on
-/// heights (see the cmpsim tier suite), so with ε = 1e-2 the forward
-/// difference inherits ≤ 4e-3; stated bound 1e-2 per element.
-#[test]
-fn numeric_gradients_agree_between_tiers() {
-    let layout = DesignSpec::new(DesignKind::Fpga, 6, 6, 9).generate();
-    let params = fft_params();
-    let spec = DummySpec::default();
-    let x = mid_fill(&layout);
-    let fd = FiniteDifference::new(1e-2, 1);
-    let mut grads = Vec::new();
-    for tier in [NumericsTier::Exact, NumericsTier::Fast] {
-        let sim = CmpSimulator::new(params.clone()).unwrap().with_numerics(tier);
-        let f = |x: &[f64]| {
-            let mut plan = FillPlan::zeros(&layout);
-            plan.as_mut_slice().copy_from_slice(x);
-            sim.simulate(&apply_fill(&layout, &plan, &spec)).max_height_range()
-        };
-        grads.push(fd.gradient_seq(&x, f));
-    }
-    for (i, (a, b)) in grads[0].iter().zip(&grads[1]).enumerate() {
-        assert!((a - b).abs() <= 1e-2, "FD gradient[{i}] drifted: exact={a} fast={b}");
-    }
-}
-
-/// Contact reference plane on real simulated height fields: the sorted
-/// solver (Fast default) tracks the exact solver to bisection tolerance
-/// (stated bound 1e-6 on `z_ref`).
-#[test]
-fn contact_plane_agrees_between_solvers_on_simulated_heights() {
-    let params = fft_params();
-    for (kind, seed) in DESIGNS {
-        let layout = DesignSpec::new(kind, 12, 12, seed).generate();
-        let profile = CmpSimulator::new(params.clone()).unwrap().simulate(&layout);
-        for l in 0..profile.num_layers() {
-            let heights = profile.layer(l).heights();
-            let exact = solve_reference_plane(heights, &params);
-            let sorted = solve_reference_plane_sorted(heights, &params);
-            assert!(
-                (exact - sorted).abs() <= 1e-6,
-                "{kind:?} layer {l}: z_ref exact={exact} sorted={sorted}"
-            );
-        }
-    }
-}
-
-/// End-to-end flow on designs A/B/C with one shared pre-trained network:
-/// the Fast tier's synthesized fill amounts and verified post-CMP ΔH
-/// track the Exact tier's, and the Fast flow itself is bit-deterministic
-/// across GEMM thread counts.
-///
-/// Stated tolerances (the synthesis optimizer re-converges from perturbed
-/// iterates, so these are flow-level, not kernel-level, bounds): total
-/// fill within 2% + 1 window-unit; per-design ΔH within 5% + 0.5 nm.
-#[test]
-fn flow_fill_amounts_and_delta_h_agree_between_tiers_on_designs_abc() {
-    let _guard = tier_lock();
-    let grid = 8;
-    let base = FlowConfig {
-        process: fft_params(),
-        surrogate: SurrogateConfig {
-            unet: UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 },
-            train: TrainConfig {
-                epochs: 2,
-                batch_size: 4,
-                lr: 2e-3,
-                lr_decay: 1.0,
-                ..TrainConfig::default()
-            },
-            num_layouts: 6,
-            datagen: DataGenConfig { rows: grid, cols: grid, seed: 1, ..DataGenConfig::default() },
-            ..SurrogateConfig::default()
-        },
-        beta_time_s: 60.0,
-        seed: 1,
-        ..FlowConfig::default()
-    };
-    // Train once, under the Exact tier, and share the network.
-    set_numerics_tier(NumericsTier::Exact);
-    set_gemm_threads(1);
-    let trained = FillingFlow::prepare(&benchmark_designs(grid, grid, 1), base.clone()).unwrap();
-    let network = trained.shared_network();
-
-    for (kind, seed) in DESIGNS {
-        let layout = DesignSpec::new(kind, grid, grid, seed).generate();
-        let mut results = Vec::new();
-        for tier in [NumericsTier::Exact, NumericsTier::Fast] {
-            set_numerics_tier(tier);
-            set_gemm_threads(1);
-            let config = FlowConfig { numerics: tier, ..base.clone() };
-            let flow = FillingFlow::with_network(network.clone(), config).unwrap();
-            let result = flow.run(&layout).unwrap();
-            if tier.is_fast() {
-                // Fast is bit-deterministic across GEMM thread counts.
-                set_gemm_threads(8);
-                let redo = flow.run(&layout).unwrap();
-                assert_eq!(
-                    result.plan.as_slice(),
-                    redo.plan.as_slice(),
-                    "{kind:?}: Fast flow depends on GEMM threads"
-                );
-            }
-            results.push(result);
-        }
-        let (exact, fast) = (&results[0], &results[1]);
-        let (te, tf) = (exact.plan.total(), fast.plan.total());
-        assert!((te - tf).abs() <= 0.02 * te + 1.0, "{kind:?}: fill total drifted: {te} vs {tf}");
-        let (he, hf) = (exact.scored.delta_h_angstrom, fast.scored.delta_h_angstrom);
-        assert!((he - hf).abs() <= 0.05 * he.abs() + 0.5, "{kind:?}: ΔH drifted: {he} vs {hf}");
-    }
 }
 
 /// Calibrates a network on the real extraction planes of mid-filled
@@ -278,9 +102,9 @@ fn with_abc_calibration(net: CmpNeuralNetwork, grid: usize) -> CmpNeuralNetwork 
 /// |Δ| ≤ 1e-3 · (|S_cpu| + 1)).
 #[test]
 fn quant_backend_s_plan_tracks_f32_on_designs_abc() {
-    let _guard = tier_lock();
+    let _guard = backend_lock();
     let net = with_abc_calibration(untrained_network(), 8);
-    let sim = CmpSimulator::new(fft_params()).unwrap();
+    let sim = CmpSimulator::new(wide_kernel_params()).unwrap();
     for (kind, seed) in DESIGNS {
         let layout = DesignSpec::new(kind, 8, 8, seed).generate();
         let coeffs = Coefficients::calibrate(&layout, &sim.simulate(&layout), 60.0);
@@ -312,10 +136,10 @@ fn quant_backend_s_plan_tracks_f32_on_designs_abc() {
 /// + gradient) under `QuantCpu` is bit-identical to `Cpu`.
 #[test]
 fn quant_backend_leaves_gradient_path_bit_identical() {
-    let _guard = tier_lock();
+    let _guard = backend_lock();
     let net = with_abc_calibration(untrained_network(), 8);
     let layout = DesignSpec::new(DesignKind::CmpTest, 8, 8, 5).generate();
-    let sim = CmpSimulator::new(fft_params()).unwrap();
+    let sim = CmpSimulator::new(wide_kernel_params()).unwrap();
     let coeffs = Coefficients::calibrate(&layout, &sim.simulate(&layout), 60.0);
     let x = mid_fill(&layout);
 
@@ -336,13 +160,13 @@ fn quant_backend_leaves_gradient_path_bit_identical() {
 ///
 /// Stated tolerances (flow-level — the optimizer re-converges from
 /// perturbed scores): total fill within 2% + 1 window-unit; per-design
-/// ΔH within 5% + 0.5 nm — the same bars the Fast tier certifies.
+/// ΔH within 5% + 0.5 nm.
 #[test]
 fn flow_fill_amounts_and_delta_h_agree_between_backends_on_designs_abc() {
-    let _guard = tier_lock();
+    let _guard = backend_lock();
     let grid = 8;
     let base = FlowConfig {
-        process: fft_params(),
+        process: wide_kernel_params(),
         surrogate: SurrogateConfig {
             unet: UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 },
             train: TrainConfig {
@@ -361,7 +185,6 @@ fn flow_fill_amounts_and_delta_h_agree_between_backends_on_designs_abc() {
         ..FlowConfig::default()
     };
     // Train once on the f32 backend, then calibrate the shared network.
-    set_numerics_tier(NumericsTier::Exact);
     set_backend(BackendKind::Cpu);
     set_gemm_threads(1);
     let trained = FillingFlow::prepare(&benchmark_designs(grid, grid, 1), base.clone()).unwrap();

@@ -19,7 +19,7 @@ use neurfill::persist;
 use neurfill_data::ShardSet;
 use neurfill_tensor::NdArray;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -112,7 +112,9 @@ fn run() -> Result<(), String> {
 
     let calibrated = network.with_calibration(scales);
     let out = File::create(&args.out).map_err(|e| format!("{}: {e}", args.out.display()))?;
-    persist::save_network(&calibrated, BufWriter::new(out))
+    let mut w = BufWriter::new(out);
+    persist::save_network(&calibrated, &mut w)
+        .and_then(|()| w.flush())
         .map_err(|e| format!("{}: {e}", args.out.display()))?;
     println!("wrote {}", args.out.display());
     Ok(())

@@ -199,8 +199,10 @@ pub fn save_checkpoint_file(
     model: &dyn Module,
     path: impl AsRef<Path>,
 ) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    save_checkpoint(ckpt, model, io::BufWriter::new(f))
+    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
+    save_checkpoint(ckpt, model, &mut w)?;
+    // Dropping a `BufWriter` would discard the error of its final flush.
+    w.flush()
 }
 
 /// Loads a checkpoint bundle from a file path.
@@ -239,6 +241,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let _: u64 = rng.gen();
         TrainCheckpoint { epoch: 3, shard_cursor: 1, rng_state: rng.state(), adam: opt.export_state() }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_checkpoint_file_reports_the_final_flush_error() {
+        let model = neurfill_nn::layers::Linear::new(4, 4, &mut StdRng::seed_from_u64(0));
+        let opt = Adam::new(model.parameters(), 1e-3);
+        let rng_state = StdRng::seed_from_u64(5).state();
+        let ckpt = TrainCheckpoint { epoch: 1, shard_cursor: 0, rng_state, adam: opt.export_state() };
+        let mut buf = Vec::new();
+        save_checkpoint(&ckpt, &model, &mut buf).unwrap();
+        assert!(buf.len() < 8 * 1024, "payload must fit the write buffer: {}", buf.len());
+        assert!(save_checkpoint_file(&ckpt, &model, "/dev/full").is_err());
     }
 
     #[test]

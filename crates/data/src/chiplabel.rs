@@ -16,7 +16,7 @@ use crate::shard::{ShardSetWriter, ShardShapes};
 use neurfill::extraction::{ExtractionConfig, ExtractionStream, NUM_CHANNELS};
 use neurfill::HeightNorm;
 use neurfill_chip::{ChipSimConfig, ChipSimulator, ChipSource};
-use neurfill_cmpsim::{ChipProfile, ContactSolve, ProcessParams};
+use neurfill_cmpsim::{ChipProfile, ProcessParams};
 use neurfill_layout::Tiling;
 use neurfill_tensor::NdArray;
 use std::io;
@@ -46,10 +46,6 @@ pub struct ChipLabelConfig {
     pub norm: Option<HeightNorm>,
     /// Seed recorded in the manifest (the chip generator's seed).
     pub seed: u64,
-    /// Numerics tier of the sharded golden simulation. `Exact` (the
-    /// default) keeps shard bytes identical to the monolithic reference;
-    /// `Fast` opts into the certified FFT/sorted-contact kernels.
-    pub numerics: neurfill_cmpsim::NumericsTier,
     /// Telemetry handle (disabled records nothing; bytes identical).
     pub telemetry: neurfill_obs::Telemetry,
 }
@@ -64,7 +60,6 @@ impl Default for ChipLabelConfig {
             process: ProcessParams::default(),
             norm: None,
             seed: 0,
-            numerics: neurfill_cmpsim::NumericsTier::Exact,
             telemetry: neurfill_obs::Telemetry::disabled(),
         }
     }
@@ -133,8 +128,6 @@ pub fn label_full_chip(
         params: cfg.process.clone(),
         tile: cfg.tile,
         workers: cfg.workers,
-        contact_solve: ContactSolve::for_tier(cfg.numerics),
-        numerics: cfg.numerics,
         telemetry: cfg.telemetry.clone(),
     })
     .map_err(bad)?;

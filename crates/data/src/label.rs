@@ -42,10 +42,6 @@ pub struct LabelConfig {
     /// Height normalization; `None` derives it from the first simulated
     /// layouts exactly as surrogate pre-training does.
     pub norm: Option<HeightNorm>,
-    /// Numerics tier of the golden simulator. `Exact` (the default)
-    /// keeps shard bytes identical to the reference kernels; `Fast` opts
-    /// into the certified FFT/sorted-contact kernels.
-    pub numerics: neurfill_cmpsim::NumericsTier,
     /// Telemetry handle. The default (disabled) handle records nothing;
     /// an enabled one counts layouts/samples (`data.label.*`), shard
     /// writes (`data.shard.*`) and per-stage simulator timings
@@ -63,7 +59,6 @@ impl Default for LabelConfig {
             extraction: ExtractionConfig::default(),
             process: ProcessParams::default(),
             norm: None,
-            numerics: neurfill_cmpsim::NumericsTier::Exact,
             telemetry: neurfill_obs::Telemetry::disabled(),
         }
     }
@@ -125,10 +120,7 @@ pub fn generate_labeled_shards(
     out_dir: impl AsRef<Path>,
 ) -> io::Result<LabelReport> {
     let _label_span = cfg.telemetry.span("data.label_ns");
-    let sim = CmpSimulator::new(cfg.process.clone())
-        .map_err(bad)?
-        .with_numerics(cfg.numerics)
-        .with_telemetry(cfg.telemetry.clone());
+    let sim = CmpSimulator::new(cfg.process.clone()).map_err(bad)?.with_telemetry(cfg.telemetry.clone());
 
     if cfg.num_layouts == 0 {
         return Err(bad("num_layouts must be non-zero"));

@@ -281,8 +281,10 @@ pub fn read_plan<R: Read>(layout: &Layout, r: R) -> io::Result<crate::FillPlan> 
 ///
 /// Propagates file-system errors.
 pub fn save_to_file(layout: &Layout, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_layout(layout, io::BufWriter::new(f))
+    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
+    write_layout(layout, &mut w)?;
+    // Dropping a `BufWriter` would discard the error of its final flush.
+    w.flush()
 }
 
 /// Loads a layout from a file path.
@@ -298,6 +300,16 @@ pub fn load_from_file(path: impl AsRef<Path>) -> io::Result<Layout> {
 mod tests {
     use super::*;
     use crate::design::{DesignKind, DesignSpec};
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_to_file_reports_the_final_flush_error() {
+        let l = DesignSpec::new(DesignKind::RiscV, 4, 4, 1).generate();
+        let mut buf = Vec::new();
+        write_layout(&l, &mut buf).unwrap();
+        assert!(buf.len() < 8 * 1024, "payload must fit the write buffer: {}", buf.len());
+        assert!(save_to_file(&l, "/dev/full").is_err());
+    }
 
     #[test]
     fn roundtrip_preserves_layout() {

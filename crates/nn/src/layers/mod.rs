@@ -3,7 +3,6 @@
 
 mod activation;
 mod conv;
-mod dropout;
 mod linear;
 mod norm;
 mod pool;
@@ -11,8 +10,7 @@ mod sequential;
 
 pub use activation::{LeakyRelu, Relu, Sigmoid, Tanh};
 pub use conv::{Conv2d, ConvTranspose2d};
-pub use dropout::Dropout;
 pub use linear::Linear;
-pub use norm::{BatchNorm2d, GroupNorm};
+pub use norm::BatchNorm2d;
 pub use pool::{MaxPool2d, UpsampleNearest2d};
 pub use sequential::Sequential;

@@ -157,8 +157,10 @@ fn parse_header(header: &str, kind: &str, expect_index: usize) -> Result<Vec<usi
 ///
 /// Propagates file-system errors.
 pub fn save_to_file(module: &dyn Module, path: impl AsRef<Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    save_parameters(module, io::BufWriter::new(f))
+    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
+    save_parameters(module, &mut w)?;
+    // Dropping a `BufWriter` would discard the error of its final flush.
+    w.flush()
 }
 
 /// Loads module parameters from a file path.
@@ -203,10 +205,21 @@ pub fn copy_parameters(src: &dyn Module, dst: &dyn Module) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::Conv2d;
+    use crate::layers::{Conv2d, Linear};
     use crate::unet::{UNet, UNetConfig};
     use neurfill_tensor::Tensor as T;
     use rand::SeedableRng;
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_to_file_reports_the_final_flush_error() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let layer = Linear::new(4, 4, &mut rng);
+        let mut buf = Vec::new();
+        save_parameters(&layer, &mut buf).unwrap();
+        assert!(buf.len() < 8 * 1024, "payload must fit the write buffer: {}", buf.len());
+        assert!(save_to_file(&layer, "/dev/full").is_err());
+    }
 
     #[test]
     fn roundtrip_preserves_exact_bits() {

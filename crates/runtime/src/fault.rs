@@ -13,7 +13,7 @@
 //! Plans are test-visible and config/env-constructed:
 //!
 //! ```text
-//! NEURFILL_FAULT_PLAN="synthesis=transient@1;batch_forward=panic@2"
+//! NEURFILL_FAULT_PLAN="synthesis=transient@1;verify_forward=nan@2"
 //! NEURFILL_FAULT_SEED=7
 //! ```
 //!
@@ -31,12 +31,12 @@ use std::time::Duration;
 
 /// Stable site names checked by the runtime and data crates.
 pub mod sites {
-    /// Network hydration from bundle bytes (workers and the batch server).
+    /// Network hydration from bundle bytes (one per worker).
     pub const HYDRATE: &str = "hydrate";
     /// The synthesis stage of a job, before `FillingFlow` runs.
     pub const SYNTHESIS: &str = "synthesis";
-    /// The batch server's multi-sample forward.
-    pub const BATCH_FORWARD: &str = "batch_forward";
+    /// A job's verification forward over all of its layers.
+    pub const VERIFY_FORWARD: &str = "verify_forward";
     /// Reading one record from a training-data shard.
     pub const SHARD_READ: &str = "shard_read";
     /// Appending one record to the service's write-ahead job journal.
@@ -411,11 +411,11 @@ mod tests {
 
     #[test]
     fn range_and_nan_and_delay_parse() {
-        let plan = FaultPlan::parse("batch_forward=nan@2-3; hydrate=delay5@1", 0).unwrap();
-        assert_eq!(plan.inject(sites::BATCH_FORWARD), Ok(false));
-        assert_eq!(plan.inject(sites::BATCH_FORWARD), Ok(true));
-        assert_eq!(plan.inject(sites::BATCH_FORWARD), Ok(true));
-        assert_eq!(plan.inject(sites::BATCH_FORWARD), Ok(false));
+        let plan = FaultPlan::parse("verify_forward=nan@2-3; hydrate=delay5@1", 0).unwrap();
+        assert_eq!(plan.inject(sites::VERIFY_FORWARD), Ok(false));
+        assert_eq!(plan.inject(sites::VERIFY_FORWARD), Ok(true));
+        assert_eq!(plan.inject(sites::VERIFY_FORWARD), Ok(true));
+        assert_eq!(plan.inject(sites::VERIFY_FORWARD), Ok(false));
         let t = std::time::Instant::now();
         assert_eq!(plan.inject(sites::HYDRATE), Ok(false), "delay continues normally");
         assert!(t.elapsed() >= Duration::from_millis(5));

@@ -75,7 +75,7 @@ pub struct JobReport {
     /// Full per-metric score breakdown.
     pub breakdown: ScoreBreakdown,
     /// Surrogate-predicted planarity metrics of the filled layout,
-    /// computed through the shared batch inference server.
+    /// computed in one forward on the worker's network.
     pub predicted: PlanarityMetrics,
     /// Wall-clock of the synthesis stage for this job.
     pub synthesis_runtime: Duration,

@@ -11,9 +11,6 @@
 //!   shared as serialized bytes (the autograd substrate is thread-local,
 //!   so networks themselves never cross threads; every thread hydrates
 //!   its own instance from the same bytes).
-//! * [`BatchServer`] / [`BatchClient`] — a dedicated inference thread
-//!   coalescing per-window UNet forwards from concurrent jobs into
-//!   multi-sample `[B, C, H, W]` forwards.
 //! * [`RuntimePool`] — the job queue and worker pool: per-job status,
 //!   cooperative deadlines and cancellation, transient-failure retries,
 //!   graceful shutdown, and failures that never poison the pool.
@@ -43,7 +40,6 @@
 // carry local, justified `allow`s).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod batch;
 pub mod error;
 pub mod fault;
 pub mod job;
@@ -51,8 +47,7 @@ pub mod pool;
 pub mod registry;
 mod stats;
 
-pub use batch::{BatchClient, BatchConfig, BatchServer, BatchSupervisor};
-pub use error::{classify, ErrorClass, InferError, RetryPolicy, RuntimeError};
+pub use error::{classify, ErrorClass, RetryPolicy, RuntimeError};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger, WriteFault};
 pub use job::{JobId, JobReport, JobSpec, JobStatus};
 pub use neurfill::CancelToken;
@@ -64,7 +59,6 @@ pub use stats::RuntimeStats;
 pub(crate) mod test_util {
     use neurfill::extraction::NUM_CHANNELS;
     use neurfill::{CmpNeuralNetwork, CmpNnConfig, HeightNorm};
-    use neurfill_layout::{DesignKind, DesignSpec, Layout};
     use neurfill_nn::{UNet, UNetConfig};
     use rand::SeedableRng;
 
@@ -77,15 +71,5 @@ pub(crate) mod test_util {
             &mut rng,
         );
         CmpNeuralNetwork::new(unet, HeightNorm::default(), Default::default(), CmpNnConfig::default())
-    }
-
-    /// An 8×8, 3-layer layout (compatible with depth-2 UNets).
-    pub fn tiny_layout(seed: u64) -> Layout {
-        DesignSpec::new(DesignKind::CmpTest, 8, 8, seed).generate()
-    }
-
-    /// A 16×16 layout (a second geometry for mixed-shape batches).
-    pub fn large_layout(seed: u64) -> Layout {
-        DesignSpec::new(DesignKind::Fpga, 16, 16, seed).generate()
     }
 }

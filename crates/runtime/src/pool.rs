@@ -1,13 +1,12 @@
 //! The concurrent fill-synthesis pool: a job queue fanned across worker
-//! threads that share one model bundle and one supervised batch inference
-//! server.
+//! threads that share one model bundle.
 //!
 //! Each worker hydrates its own network from the bundle (the autograd
 //! substrate is thread-local), assembles a [`FillingFlow`] once, and then
 //! processes jobs until the queue closes. Results are bit-identical to a
 //! sequential `FillingFlow::run` over the same bundle and configuration —
-//! workers run the same weights, and the batched verification forward is
-//! per-sample identical to single forwards.
+//! workers run the same weights, and each job's verification is one
+//! multi-layer forward on the worker's own network.
 //!
 //! # Failure model
 //!
@@ -18,15 +17,12 @@
 //! per-job [`CancelToken`] (deadline = submission + timeout) is threaded
 //! into the synthesis optimizer's iteration loops, so an expired or
 //! [`RuntimePool::cancel`]led job aborts mid-optimization instead of
-//! running to completion. When batched inference is unavailable (server
-//! dead and the supervisor's circuit open), workers degrade to per-worker
-//! sequential inference on their own network; when surrogate heights fail
-//! the numeric health guard, verification degrades to the golden
-//! simulator and the job's report says so. All of it is exercised
-//! deterministically through [`crate::fault::FaultPlan`].
+//! running to completion. When surrogate heights fail the numeric health
+//! guard, verification degrades to the golden simulator and the job's
+//! report says so. All of it is exercised deterministically through
+//! [`crate::fault::FaultPlan`].
 
-use crate::batch::{BatchConfig, BatchSupervisor};
-use crate::error::{InferError, RetryPolicy, RuntimeError};
+use crate::error::{RetryPolicy, RuntimeError};
 use crate::fault::{sites, FaultPlan};
 use crate::job::{JobId, JobReport, JobSpec, JobStatus};
 use crate::registry::ModelBundle;
@@ -38,7 +34,7 @@ use neurfill_cmpsim::ChipProfile;
 use neurfill_cmpsim::LayerProfile;
 use neurfill_layout::apply_fill;
 use neurfill_obs::{MetricsSnapshot, Telemetry};
-use neurfill_tensor::{BackendKind, NumericsTier};
+use neurfill_tensor::BackendKind;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,15 +49,10 @@ use std::time::{Duration, Instant};
 pub struct PoolOptions {
     /// Worker threads; `0` uses [`default_workers`].
     pub workers: usize,
-    /// Batch inference policy.
-    pub batch: BatchConfig,
     /// Deadline applied to jobs that don't carry their own.
     pub default_timeout: Option<Duration>,
     /// Retry budget and backoff for transiently-failing jobs.
     pub retry: RetryPolicy,
-    /// How many times a dead batch server is restarted before the
-    /// circuit opens and workers fall back to local inference.
-    pub restart_budget: u32,
     /// Fault-injection plan (disabled by default; see [`FaultPlan`]).
     /// With the disabled plan every code path is bit-identical to a
     /// fault-free runtime.
@@ -73,18 +64,11 @@ pub struct PoolOptions {
     /// (unless the [`FlowConfig`] carries its own), so one registry
     /// covers simulator, optimizer, flow and runtime metrics.
     pub telemetry: Telemetry,
-    /// Numerics tier the pool runs at. `Exact` (the default) is
-    /// bit-identical to the reference kernels; `Fast` opts into the
-    /// certified FFT/FMA/sorted-contact kernels. The pool installs the
-    /// tier process-wide (for the GEMM dispatch behind `NdArray::matmul`)
-    /// and propagates it to each worker's flow unless the [`FlowConfig`]
-    /// already selects `Fast` itself.
-    pub numerics: NumericsTier,
     /// Tensor backend the pool's surrogate inference runs on. `Cpu` (the
     /// default) is bit-identical to the f32 reference kernels; `QuantCpu`
     /// opts into the certified int8 engine (the model bundle must carry
     /// calibration scales). Installed process-wide and propagated to each
-    /// worker's flow, mirroring [`PoolOptions::numerics`].
+    /// worker's flow, mirroring [`PoolOptions::telemetry`].
     pub backend: BackendKind,
 }
 
@@ -92,13 +76,10 @@ impl Default for PoolOptions {
     fn default() -> Self {
         Self {
             workers: 0,
-            batch: BatchConfig::default(),
             default_timeout: None,
             retry: RetryPolicy::default(),
-            restart_budget: 2,
             fault: Arc::new(FaultPlan::disabled()),
             telemetry: Telemetry::disabled(),
-            numerics: NumericsTier::Exact,
             backend: BackendKind::Cpu,
         }
     }
@@ -182,7 +163,6 @@ impl JobTable {
 pub struct RuntimePool {
     tx: Option<Sender<Queued>>,
     workers: Vec<JoinHandle<()>>,
-    supervisor: Arc<BatchSupervisor>,
     table: Arc<JobTable>,
     stats: Arc<StatsInner>,
     next_id: AtomicU64,
@@ -197,15 +177,15 @@ impl std::fmt::Debug for RuntimePool {
 }
 
 impl RuntimePool {
-    /// Starts the pool: spawns the supervised batch server plus
-    /// `options.workers` workers, each hydrating its own network from
-    /// `bundle` and binding it into a flow under `config`.
+    /// Starts the pool: spawns `options.workers` workers, each hydrating
+    /// its own network from `bundle` and binding it into a flow under
+    /// `config`.
     ///
     /// # Errors
     ///
-    /// Returns an error when the batch server cannot hydrate the bundle or
-    /// a thread cannot be spawned. Worker hydration failures at job time
-    /// surface per job instead, so a pool is never half-constructed.
+    /// Returns an error when a thread cannot be spawned. Worker hydration
+    /// failures at job time surface per job instead, so a pool is never
+    /// half-constructed.
     pub fn new(
         bundle: Arc<ModelBundle>,
         mut config: FlowConfig,
@@ -217,28 +197,15 @@ impl RuntimePool {
         if options.telemetry.is_enabled() && !config.telemetry.is_enabled() {
             config.telemetry = options.telemetry.clone();
         }
-        // Same propagation shape for the numerics tier: a Fast pool runs
-        // Fast flows (unless the flow opted in on its own), and the
-        // process-global GEMM tier follows the pool.
-        if options.numerics.is_fast() && !config.numerics.is_fast() {
-            config.numerics = options.numerics;
-        }
-        neurfill_tensor::set_numerics_tier(config.numerics);
-        // And again for the tensor backend: a quantized pool runs quantized
-        // flows, and the process-global inference dispatch follows the pool.
+        // Same propagation shape for the tensor backend: a quantized pool
+        // runs quantized flows, and the process-global inference dispatch
+        // follows the pool.
         if options.backend.is_quant() && !config.backend.is_quant() {
             config.backend = options.backend;
         }
         neurfill_tensor::set_backend(config.backend);
         let stats = Arc::new(StatsInner::new(&options.telemetry));
         let fault = Arc::clone(&options.fault);
-        let supervisor = Arc::new(BatchSupervisor::spawn_with(
-            Arc::clone(&bundle),
-            options.batch.clone(),
-            options.restart_budget,
-            Arc::clone(&stats),
-            Arc::clone(&fault),
-        )?);
         let table = Arc::new(JobTable::default());
         let (tx, rx) = unbounded::<Queued>();
         let worker_count = if options.workers == 0 { default_workers() } else { options.workers };
@@ -249,18 +216,16 @@ impl RuntimePool {
                 let config = config.clone();
                 let table = Arc::clone(&table);
                 let stats = Arc::clone(&stats);
-                let supervisor = Arc::clone(&supervisor);
                 let fault = Arc::clone(&fault);
                 let retry = options.retry;
-                std::thread::Builder::new().name(format!("neurfill-worker-{i}")).spawn(move || {
-                    worker_loop(&rx, &bundle, &config, &table, &stats, &supervisor, &fault, retry)
-                })
+                std::thread::Builder::new()
+                    .name(format!("neurfill-worker-{i}"))
+                    .spawn(move || worker_loop(&rx, &bundle, &config, &table, &stats, &fault, retry))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Self {
             tx: Some(tx),
             workers,
-            supervisor,
             table,
             stats,
             next_id: AtomicU64::new(1),
@@ -423,8 +388,8 @@ impl RuntimePool {
     /// A telemetry snapshot of everything recorded in the registry the
     /// pool's counters live in. With [`PoolOptions::telemetry`] attached
     /// this is the whole shared registry — `runtime.*` counters, `job.*`
-    /// and `batch.*` histograms, `sim.*`/`optim.*`/`flow.*` metrics from
-    /// the workers' flows, and degradation events. With the default
+    /// and `batch.occupancy` histograms, `sim.*`/`optim.*`/`flow.*`
+    /// metrics from the workers' flows, and degradation events. With the default
     /// (disabled) handle it still carries the `runtime.*` counters.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -432,7 +397,7 @@ impl RuntimePool {
     }
 
     /// Graceful shutdown: closes the queue, lets workers finish everything
-    /// already enqueued, stops the batch server, and returns final stats.
+    /// already enqueued, and returns final stats.
     #[must_use]
     pub fn shutdown(mut self) -> RuntimeStats {
         self.stop();
@@ -444,7 +409,6 @@ impl RuntimePool {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.supervisor.shutdown();
     }
 }
 
@@ -489,14 +453,12 @@ fn backoff_within_deadline(backoff: Duration, deadline: Option<Instant>) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     rx: &Receiver<Queued>,
     bundle: &ModelBundle,
     config: &FlowConfig,
     table: &JobTable,
     stats: &StatsInner,
-    supervisor: &BatchSupervisor,
     fault: &FaultPlan,
     retry: RetryPolicy,
 ) {
@@ -529,7 +491,7 @@ fn worker_loop(
             // here: they fail the job, never the worker.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let flow = ensure_flow(&mut flow, bundle, config, fault, stats)?;
-                run_job(flow, supervisor, &job.spec, &job.cancel, fault, stats)
+                run_job(flow, &job.spec, &job.cancel, fault, stats)
             }));
             break match outcome {
                 Ok(Ok(report)) => {
@@ -612,13 +574,11 @@ fn heights_health_error(heights: &[Vec<f64>], norm: HeightNorm) -> Option<String
 }
 
 /// One job: synthesis through the worker's own flow (under the job's
-/// cancel token), then surrogate verification of the filled layout
-/// through the supervised batch server — degrading to per-worker
-/// inference when batching is unavailable, and to the golden simulator
-/// when the surrogate's heights fail the health guard.
+/// cancel token), then surrogate verification of the filled layout on
+/// the worker's network — degrading to the golden simulator when the
+/// surrogate's heights fail the health guard.
 fn run_job(
     flow: &FillingFlow,
-    supervisor: &BatchSupervisor,
     spec: &JobSpec,
     cancel: &CancelToken,
     fault: &FaultPlan,
@@ -631,9 +591,8 @@ fn run_job(
     stats.synthesis_nanos.add_duration(synth_elapsed);
     stats.job_synthesis.record_duration(synth_elapsed);
 
-    // Verification: predict the filled layout's post-CMP profile on the
-    // batch server. Each layer is one window sample; a multi-layer job
-    // already forms a batch, and overlapping jobs coalesce further.
+    // Verification: predict the filled layout's post-CMP profile in one
+    // forward, one window sample per layer.
     let verify_start = Instant::now();
     let dummy = flow.config().insertion_dummy_spec();
     let filled = apply_fill(&spec.layout, &result.plan, &dummy);
@@ -642,24 +601,21 @@ fn run_job(
         .map(|l| flow.network().extract_window_sample(&filled, l))
         .collect::<Result<_, _>>()
         .map_err(|e| e.to_string())?;
-    let heights = match supervisor.predict_heights(&samples) {
-        Ok(heights) => heights,
-        Err(InferError::Forward(e)) => return Err(e),
-        Err(InferError::Disconnected(cause)) => {
-            // Degradation rung 1: batched inference is gone (circuit
-            // open). The worker's own network has the same weights, so
-            // results stay bit-identical — only the coalescing is lost.
-            stats.fallback_batches.inc();
-            stats.events.event(
-                "fault",
-                "local_fallback",
-                &[("job", spec.name.clone()), ("cause", cause.clone())],
-            );
-            flow.network()
-                .predict_heights_batch(&samples)
-                .map_err(|e| format!("local inference fallback (after: {cause}) failed: {e}"))?
+    // Fault site `verify_forward`: a transient fails this attempt, NaN
+    // poisons the heights so the numeric health guard trips.
+    let poison = fault.inject(sites::VERIFY_FORWARD)?;
+    stats.batches_formed.inc();
+    stats.samples_inferred.add(samples.len() as u64);
+    stats.batch_occupancy.record(samples.len() as u64);
+    let mut heights = flow
+        .network()
+        .predict_heights_batch(&samples)
+        .map_err(|e| format!("verification forward failed: {e}"))?;
+    if poison {
+        for h in &mut heights {
+            h.fill(f64::NAN);
         }
-    };
+    }
     let (predicted, degraded) = match heights_health_error(&heights, flow.network().height_norm()) {
         None => {
             let profile = ChipProfile::new(

@@ -1,5 +1,4 @@
-//! Runtime counters, shared lock-free between workers, the batch server
-//! and the caller.
+//! Runtime counters, shared lock-free between workers and the caller.
 //!
 //! The counters are telemetry [`Counter`] handles registered under
 //! `runtime.*` names. They always count — when the caller attached no
@@ -27,9 +26,6 @@ pub(crate) struct StatsInner {
     pub jobs_failed: Counter,
     pub jobs_degraded: Counter,
     pub retries: Counter,
-    pub server_restarts: Counter,
-    pub circuit_opened: Counter,
-    pub fallback_batches: Counter,
     pub batches_formed: Counter,
     pub samples_inferred: Counter,
     pub hydrations: Counter,
@@ -40,7 +36,6 @@ pub(crate) struct StatsInner {
     pub job_synthesis: Histogram,
     pub job_verify: Histogram,
     pub batch_occupancy: Histogram,
-    pub batch_forward: Histogram,
 }
 
 impl StatsInner {
@@ -55,9 +50,6 @@ impl StatsInner {
             jobs_failed: registry.counter("runtime.jobs_failed"),
             jobs_degraded: registry.counter("runtime.jobs_degraded"),
             retries: registry.counter("runtime.retries"),
-            server_restarts: registry.counter("runtime.server_restarts"),
-            circuit_opened: registry.counter("runtime.circuit_opened"),
-            fallback_batches: registry.counter("runtime.fallback_batches"),
             batches_formed: registry.counter("runtime.batches_formed"),
             samples_inferred: registry.counter("runtime.samples_inferred"),
             hydrations: registry.counter("runtime.hydrations"),
@@ -68,7 +60,6 @@ impl StatsInner {
             job_synthesis: telemetry.histogram("job.synthesis_ns"),
             job_verify: telemetry.histogram("job.verify_ns"),
             batch_occupancy: telemetry.histogram("batch.occupancy"),
-            batch_forward: telemetry.histogram("batch.forward_ns"),
             events: telemetry.clone(),
             registry,
         }
@@ -91,9 +82,6 @@ impl StatsInner {
             jobs_failed: self.jobs_failed.get(),
             jobs_degraded: self.jobs_degraded.get(),
             retries: self.retries.get(),
-            server_restarts: self.server_restarts.get(),
-            circuit_opened: self.circuit_opened.get(),
-            fallback_batches: self.fallback_batches.get(),
             batches_formed: batches,
             samples_inferred: samples,
             mean_batch_occupancy: if batches == 0 { 0.0 } else { samples as f64 / batches as f64 },
@@ -125,30 +113,22 @@ pub struct RuntimeStats {
     pub jobs_degraded: u64,
     /// Job attempts re-run after a transient failure.
     pub retries: u64,
-    /// Batch-server threads restarted after dying mid-serving.
-    pub server_restarts: u64,
-    /// Times the batch-inference circuit breaker opened (restart budget
-    /// exhausted).
-    pub circuit_opened: u64,
-    /// Verification batches served by a worker's own network because the
-    /// batch-inference circuit was open.
-    pub fallback_batches: u64,
-    /// Multi-sample forwards executed by the batch server.
+    /// Verification forwards run (one per job attempt that reaches
+    /// verification, over all of the job's layers).
     pub batches_formed: u64,
-    /// Window samples served across all batches.
+    /// Window samples (layers) verified across all forwards.
     pub samples_inferred: u64,
-    /// `samples_inferred / batches_formed` — above 1.0 whenever the server
-    /// coalesced forwards (within or across jobs).
+    /// `samples_inferred / batches_formed` — the mean layer count of the
+    /// verified jobs.
     pub mean_batch_occupancy: f64,
-    /// Networks hydrated from bundle bytes (once per worker + one for the
-    /// batch server).
+    /// Networks hydrated from bundle bytes (once per worker).
     pub hydrations: u64,
     /// Wall-clock spent hydrating networks (summed across threads).
     pub hydrate: Duration,
     /// Wall-clock spent in fill synthesis (summed across workers).
     pub synthesis: Duration,
-    /// Wall-clock spent in batched surrogate verification (summed across
-    /// workers, includes queueing at the batch server).
+    /// Wall-clock spent in surrogate verification (summed across
+    /// workers).
     pub verify: Duration,
 }
 
@@ -164,16 +144,7 @@ impl fmt::Display for RuntimeStats {
             "inference: {} samples in {} batches (occupancy {:.2})",
             self.samples_inferred, self.batches_formed, self.mean_batch_occupancy
         )?;
-        writeln!(
-            f,
-            "resilience: {} retries, {} degraded, {} server restarts, \
-             {} circuit-opens, {} fallback batches",
-            self.retries,
-            self.jobs_degraded,
-            self.server_restarts,
-            self.circuit_opened,
-            self.fallback_batches
-        )?;
+        writeln!(f, "resilience: {} retries, {} degraded", self.retries, self.jobs_degraded)?;
         write!(
             f,
             "stages: hydrate {:.3}s x{}, synthesis {:.3}s, verify {:.3}s",

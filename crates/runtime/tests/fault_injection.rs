@@ -4,17 +4,16 @@
 //! decides exactly which invocation of which site faults.
 
 use neurfill::extraction::NUM_CHANNELS;
-use neurfill::pipeline::{FillingFlow, FlowConfig};
+use neurfill::pipeline::FlowConfig;
 use neurfill::{CmpNeuralNetwork, CmpNnConfig, HeightNorm, NeurFillConfig};
 use neurfill_cmpsim::ProcessParams;
 use neurfill_layout::{DesignKind, DesignSpec, Layout};
 use neurfill_nn::{UNet, UNetConfig};
 use neurfill_optim::SqpConfig;
 use neurfill_runtime::{
-    BatchConfig, FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RetryPolicy, RuntimePool,
+    FaultPlan, JobSpec, JobStatus, ModelBundle, PoolOptions, RetryPolicy, RuntimePool,
 };
 use rand::SeedableRng;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,11 +44,7 @@ fn layout(seed: u64) -> Layout {
 
 fn pool_with(plan: &str, options: PoolOptions) -> RuntimePool {
     let bundle = Arc::new(ModelBundle::from_network(&network(42)).unwrap());
-    let options = PoolOptions {
-        fault: Arc::new(FaultPlan::parse(plan, 0).unwrap()),
-        batch: BatchConfig { max_batch: 8, linger: Duration::ZERO },
-        ..options
-    };
+    let options = PoolOptions { fault: Arc::new(FaultPlan::parse(plan, 0).unwrap()), ..options };
     RuntimePool::new(bundle, flow_config(), options).unwrap()
 }
 
@@ -112,7 +107,7 @@ fn transient_synthesis_fault_retries_and_succeeds() {
 #[test]
 fn transient_hydration_fault_is_retried_with_a_fresh_hydration() {
     let pool = pool_with(
-        "hydrate=transient@2",
+        "hydrate=transient@1",
         PoolOptions {
             workers: 1,
             retry: RetryPolicy {
@@ -123,14 +118,14 @@ fn transient_hydration_fault_is_retried_with_a_fresh_hydration() {
             ..PoolOptions::default()
         },
     );
-    // Invocation 1 of `hydrate` is the batch server (clean); invocation 2
-    // is the worker's first attempt, which fails transiently and re-runs.
+    // Invocation 1 of `hydrate` is the worker's first attempt, which fails
+    // transiently and re-runs.
     let id = pool.submit(JobSpec::new("hydrate-flaky", layout(4))).unwrap();
     let report = done(pool.wait(id));
     assert!(report.quality.is_finite());
     let stats = pool.shutdown();
     assert_eq!(stats.retries, 1);
-    assert_eq!(stats.hydrations, 2, "server + the worker's successful second attempt");
+    assert_eq!(stats.hydrations, 1, "the worker's successful second attempt");
 }
 
 #[test]
@@ -200,71 +195,8 @@ fn cancellation_hits_running_and_queued_jobs() {
 }
 
 #[test]
-fn dead_batch_server_is_restarted_within_budget() {
-    // The first batched forward panics, killing the server thread. The
-    // supervisor must restart it and replay the request; both jobs finish.
-    let pool = pool_with(
-        "batch_forward=panic@1",
-        PoolOptions { workers: 1, restart_budget: 2, ..PoolOptions::default() },
-    );
-    let first = pool.submit(JobSpec::new("kills-server", layout(9))).unwrap();
-    let second = pool.submit(JobSpec::new("after-restart", layout(10))).unwrap();
-    assert!(done(pool.wait(first)).quality.is_finite());
-    assert!(done(pool.wait(second)).quality.is_finite());
-    let stats = pool.shutdown();
-    assert_eq!(stats.server_restarts, 1);
-    assert_eq!(stats.circuit_opened, 0);
-    assert_eq!(stats.fallback_batches, 0);
-    assert_eq!(stats.jobs_completed, 2);
-}
-
-#[test]
-fn open_circuit_degrades_to_local_inference_bit_identically() {
-    // Every batched forward panics, so the restart budget drains and the
-    // circuit opens; workers must fall back to their own network — and
-    // because the weights are identical, results match the sequential
-    // flow bit for bit.
-    let bundle = Arc::new(ModelBundle::from_network(&network(42)).unwrap());
-    let config = flow_config();
-    let pool = RuntimePool::new(
-        Arc::clone(&bundle),
-        config.clone(),
-        PoolOptions {
-            workers: 1,
-            restart_budget: 1,
-            batch: BatchConfig { max_batch: 8, linger: Duration::ZERO },
-            fault: Arc::new(FaultPlan::parse("batch_forward=panic", 0).unwrap()),
-            ..PoolOptions::default()
-        },
-    )
-    .unwrap();
-    let jobs: Vec<_> = (0..2)
-        .map(|i| {
-            let l = layout(20 + i);
-            (l.clone(), pool.submit(JobSpec::new(format!("fallback-{i}"), l)).unwrap())
-        })
-        .collect();
-
-    let sequential = FillingFlow::with_network(Rc::new(bundle.hydrate().unwrap()), config).unwrap();
-    for (l, id) in jobs {
-        let report = done(pool.wait(id));
-        let expected = sequential.run(&l).unwrap();
-        assert_eq!(report.plan.as_slice(), expected.plan.as_slice(), "{}", report.name);
-        assert_eq!(report.quality, expected.scored.quality, "{}", report.name);
-        assert!(report.degraded.is_none(), "local inference is a fallback, not a degradation");
-        assert!(report.predicted.sigma.is_finite());
-    }
-    let stats = pool.shutdown();
-    assert_eq!(stats.circuit_opened, 1);
-    assert_eq!(stats.server_restarts, 1, "budget of 1 fully used before opening");
-    assert_eq!(stats.fallback_batches, 2, "both jobs verified locally");
-    assert_eq!(stats.jobs_completed, 2);
-    assert_eq!(stats.jobs_failed, 0);
-}
-
-#[test]
 fn nan_poisoned_heights_degrade_verification_to_the_golden_simulator() {
-    let pool = pool_with("batch_forward=nan", PoolOptions { workers: 1, ..PoolOptions::default() });
+    let pool = pool_with("verify_forward=nan", PoolOptions { workers: 1, ..PoolOptions::default() });
     let id = pool.submit(JobSpec::new("poisoned", layout(11))).unwrap();
     let report = done(pool.wait(id));
     let reason = report.degraded.as_deref().expect("health guard must trip on NaN heights");

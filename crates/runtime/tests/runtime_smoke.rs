@@ -4,12 +4,12 @@
 
 use neurfill::extraction::NUM_CHANNELS;
 use neurfill::pipeline::{FillingFlow, FlowConfig};
-use neurfill::{CmpNeuralNetwork, CmpNnConfig, HeightNorm, NeurFillConfig};
-use neurfill_cmpsim::ProcessParams;
-use neurfill_layout::{DesignKind, DesignSpec, Layout};
+use neurfill::{CmpNeuralNetwork, CmpNnConfig, HeightNorm, NeurFillConfig, PlanarityMetrics};
+use neurfill_cmpsim::{ChipProfile, LayerProfile, ProcessParams};
+use neurfill_layout::{apply_fill, DesignKind, DesignSpec, FillPlan, Layout};
 use neurfill_nn::{UNet, UNetConfig};
 use neurfill_optim::SqpConfig;
-use neurfill_runtime::{BatchConfig, JobSpec, JobStatus, ModelBundle, PoolOptions, RuntimePool};
+use neurfill_runtime::{JobSpec, JobStatus, ModelBundle, PoolOptions, RuntimePool};
 use rand::SeedableRng;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -45,19 +45,46 @@ fn layouts() -> Vec<Layout> {
     ]
 }
 
+/// The pool's surrogate verification replayed sequentially: one
+/// `predict_heights_batch` over every layer of the filled layout.
+fn predicted_metrics(
+    network: &CmpNeuralNetwork,
+    config: &FlowConfig,
+    layout: &Layout,
+    plan: &FillPlan,
+) -> PlanarityMetrics {
+    let filled = apply_fill(layout, plan, &config.insertion_dummy_spec());
+    let samples: Vec<_> =
+        (0..filled.num_layers()).map(|l| network.extract_window_sample(&filled, l).unwrap()).collect();
+    let (rows, cols) = (filled.rows(), filled.cols());
+    let layers = network
+        .predict_heights_batch(&samples)
+        .unwrap()
+        .into_iter()
+        .map(|h| LayerProfile::new(rows, cols, h, vec![0.0; rows * cols], vec![0.0; rows * cols]))
+        .collect();
+    PlanarityMetrics::from_profile(&ChipProfile::new(layers))
+}
+
+fn metric_bits(m: PlanarityMetrics) -> [u64; 4] {
+    [m.sigma, m.sigma_star, m.ol, m.delta_h].map(f64::to_bits)
+}
+
 #[test]
 fn pool_matches_sequential_flow_and_contains_failures() {
+    for workers in [1, 2] {
+        pool_matches_sequential_flow(workers);
+    }
+}
+
+fn pool_matches_sequential_flow(workers: usize) {
     let bundle = Arc::new(ModelBundle::from_network(&network(42)).unwrap());
     let config = flow_config();
 
     let pool = RuntimePool::new(
         Arc::clone(&bundle),
         config.clone(),
-        PoolOptions {
-            workers: 2,
-            batch: BatchConfig { max_batch: 8, linger: Duration::from_millis(2) },
-            ..PoolOptions::default()
-        },
+        PoolOptions { workers, ..PoolOptions::default() },
     )
     .unwrap();
 
@@ -80,7 +107,8 @@ fn pool_matches_sequential_flow_and_contains_failures() {
 
     // ...and every other job still completes, matching a sequential
     // FillingFlow over the same bundle bit-for-bit.
-    let sequential = FillingFlow::with_network(Rc::new(bundle.hydrate().unwrap()), config).unwrap();
+    let sequential =
+        FillingFlow::with_network(Rc::new(bundle.hydrate().unwrap()), config.clone()).unwrap();
     for (layout, id) in good {
         let report = match pool.wait(id) {
             Some(JobStatus::Done(report)) => report,
@@ -94,24 +122,24 @@ fn pool_matches_sequential_flow_and_contains_failures() {
         // close but not bit-comparable across runs; every deterministic
         // output above is.
         assert!(report.overall.is_finite());
-        assert!(report.predicted.sigma.is_finite());
+        let predicted = predicted_metrics(sequential.network(), &config, &layout, &expected.plan);
+        assert_eq!(metric_bits(report.predicted), metric_bits(predicted), "{}", report.name);
     }
 
     let stats = pool.shutdown();
     assert_eq!(stats.jobs_submitted, 5);
     assert_eq!(stats.jobs_completed, 4);
     assert_eq!(stats.jobs_failed, 1);
-    // Each job verifies its 3 layers through the batch server in one
-    // submission, so occupancy must exceed 1 even without overlap.
+    // Each job verifies its 3 layers in one forward, so occupancy must
+    // exceed 1.
     assert!(
         stats.mean_batch_occupancy > 1.0,
-        "expected coalesced batches, got occupancy {}",
+        "expected multi-layer forwards, got occupancy {}",
         stats.mean_batch_occupancy
     );
-    // The server always hydrates; workers hydrate at startup (3 total
-    // here, but a worker that never got scheduled before shutdown still
-    // counts, so only assert the lower bound that matters).
-    assert!(stats.hydrations >= 2, "server + at least one worker must hydrate");
+    // Workers hydrate on their first job; a worker that never got a job
+    // before shutdown does not, so only assert the lower bound.
+    assert!(stats.hydrations >= 1, "at least one worker must hydrate");
 }
 
 #[test]

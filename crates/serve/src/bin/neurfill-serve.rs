@@ -7,7 +7,7 @@
 //!                [--canary-samples N] [--canary-sigma-tol T]
 //!                [--drain-timeout-s S] [--metrics-out metrics.jsonl]
 //!                [--journal DIR] [--fault-plan SPEC] [--fault-seed N] [--fast]
-//!                [--numerics exact|fast] [--backend cpu|quant]
+//!                [--backend cpu|quant]
 //! ```
 //!
 //! Runs until `POST /v1/admin/shutdown` drains it; `--metrics-out` then
@@ -23,7 +23,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use neurfill::pipeline::FlowConfig;
-use neurfill_cmpsim::{NumericsTier, ProcessParams};
+use neurfill_cmpsim::ProcessParams;
 use neurfill_runtime::{FaultPlan, ModelRegistry, PoolOptions, RetryPolicy};
 use neurfill_serve::{CanaryConfig, FillService, Server, ServerConfig, ServiceConfig, TenantConfig};
 use std::path::PathBuf;
@@ -48,7 +48,6 @@ struct Args {
     fault_plan: Option<String>,
     fault_seed: u64,
     fast: bool,
-    numerics: NumericsTier,
     backend: neurfill_tensor::BackendKind,
 }
 
@@ -59,8 +58,7 @@ fn usage() -> ! {
          \x20      [--workers N] [--slots N] [--timeout-s S] [--retries N]\n\
          \x20      [--canary-samples N] [--canary-sigma-tol T] [--drain-timeout-s S]\n\
          \x20      [--metrics-out <file>] [--journal DIR]\n\
-         \x20      [--fault-plan SPEC] [--fault-seed N] [--fast] [--numerics exact|fast]\n\
-         \x20      [--backend cpu|quant]"
+         \x20      [--fault-plan SPEC] [--fault-seed N] [--fast] [--backend cpu|quant]"
     );
     std::process::exit(2);
 }
@@ -90,7 +88,6 @@ fn parse_args() -> Args {
         fault_plan: None,
         fault_seed: 0,
         fast: false,
-        numerics: NumericsTier::Exact,
         backend: neurfill_tensor::BackendKind::Cpu,
     };
     let mut it = std::env::args().skip(1);
@@ -144,13 +141,6 @@ fn parse_args() -> Args {
                 args.fault_seed = parse_num(&value(&mut it, "--fault-seed"), "--fault-seed")
             }
             "--fast" => args.fast = true,
-            "--numerics" => match NumericsTier::parse(&value(&mut it, "--numerics")) {
-                Ok(tier) => args.numerics = tier,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
             "--backend" => match neurfill_tensor::BackendKind::parse(&value(&mut it, "--backend")) {
                 Ok(kind) => args.backend = kind,
                 Err(e) => {
@@ -190,8 +180,7 @@ fn run() -> Result<(), String> {
     let telemetry = neurfill::telemetry::Telemetry::new();
     neurfill_tensor::telemetry::install(telemetry.clone());
     let process = if args.fast { ProcessParams::fast() } else { ProcessParams::default() };
-    let flow =
-        FlowConfig { process, numerics: args.numerics, backend: args.backend, ..FlowConfig::default() };
+    let flow = FlowConfig { process, backend: args.backend, ..FlowConfig::default() };
     let service = FillService::start(
         bundle,
         ServiceConfig {
@@ -212,9 +201,7 @@ fn run() -> Result<(), String> {
                 retry: RetryPolicy::with_retries(args.retries),
                 fault: Arc::new(fault),
                 telemetry,
-                numerics: args.numerics,
                 backend: args.backend,
-                ..PoolOptions::default()
             },
             ..ServiceConfig::default()
         },

@@ -4,9 +4,8 @@
 //!
 //! ```text
 //! runfill --model surrogate.bundle --layouts designs/ [--out reports/]
-//!         [--workers N] [--timeout-s S] [--retries N] [--max-batch B]
-//!         [--linger-ms M] [--fault-plan SPEC] [--fault-seed N]
-//!         [--fast] [--init-demo N] [--metrics-out metrics.jsonl]
+//!         [--workers N] [--timeout-s S] [--retries N] [--fault-plan SPEC]
+//!         [--fault-seed N] [--fast] [--init-demo N] [--metrics-out metrics.jsonl]
 //! runfill --connect HOST:PORT --layouts designs/ [--out reports/]
 //!         [--tenant NAME] [--priority high|normal|low] [--timeout-s S]
 //! runfill --full-chip [--design A|B|C] [--tile-size N] [--rows R] [--cols C]
@@ -29,7 +28,7 @@
 //! client-side. At most `--max-in-flight` tiles are resident at once.
 //!
 //! `--metrics-out` enables telemetry and writes the run's metrics snapshot
-//! (simulator stage timings, per-job spans, batch-server activity, fault
+//! (simulator stage timings, per-job spans, verification forwards, fault
 //! events) as JSONL after all jobs finish (in-process mode only).
 //!
 //! `--init-demo N` bootstraps a working directory: generates `N` benchmark
@@ -46,14 +45,14 @@ use neurfill_chip::{
     chip_run_meta, run_full_chip, synthesize_tiles_checkpointed, ChipFillConfig, ChipFillPlan,
     ChipRunConfig, ChipSimConfig, TileCheckpoint, TileJobOptions,
 };
-use neurfill_cmpsim::{CmpSimulator, ContactSolve, NumericsTier, ProcessParams};
+use neurfill_cmpsim::{CmpSimulator, ProcessParams};
 use neurfill_layout::datagen::DataGenConfig;
 use neurfill_layout::{
     benchmark_designs, io as layout_io, DesignKind, DesignSpec, FullChipDesign, FullChipSpec, Tiling,
 };
 use neurfill_nn::{TrainConfig, UNetConfig};
 use neurfill_runtime::{
-    BatchConfig, FaultPlan, JobSpec, JobStatus, ModelRegistry, PoolOptions, RetryPolicy, RuntimePool,
+    FaultPlan, JobSpec, JobStatus, ModelRegistry, PoolOptions, RetryPolicy, RuntimePool,
 };
 use neurfill_serve::{
     synthesize_chip_remote, ChipClientOptions, Client, FailoverConfig, JobRequest, Priority,
@@ -74,8 +73,6 @@ struct Args {
     workers: usize,
     timeout: Option<Duration>,
     retries: u32,
-    max_batch: usize,
-    linger: Duration,
     fault_plan: Option<String>,
     fault_seed: u64,
     fast: bool,
@@ -90,23 +87,21 @@ struct Args {
     seed: u64,
     explicit_dims: bool,
     max_in_flight: usize,
-    numerics: NumericsTier,
     backend: neurfill_tensor::BackendKind,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: runfill --model <bundle> --layouts <dir> [--out <dir>] [--workers N]\n\
-         \x20             [--timeout-s S] [--retries N] [--max-batch B] [--linger-ms M]\n\
-         \x20             [--fault-plan SPEC] [--fault-seed N] [--fast] [--init-demo N]\n\
-         \x20             [--numerics exact|fast] [--backend cpu|quant] [--metrics-out <file>]\n\
+         \x20             [--timeout-s S] [--retries N] [--fault-plan SPEC] [--fault-seed N]\n\
+         \x20             [--fast] [--init-demo N] [--backend cpu|quant] [--metrics-out <file>]\n\
          \x20      runfill --connect HOST:PORT --layouts <dir> [--out <dir>]\n\
          \x20             [--tenant NAME] [--priority high|normal|low] [--timeout-s S]\n\
          \x20      runfill --full-chip [--design A|B|C] [--tile-size N] [--rows R]\n\
          \x20             [--cols C] [--seed S] [--out <dir>] [--workers N] [--fast]\n\
          \x20             [--model <bundle> | --connect HOST:PORT] [--max-in-flight K]\n\
          \x20             [--checkpoint <dir>] [--fault-plan SPEC] [--fault-seed N]\n\
-         \x20             [--numerics exact|fast] [--backend cpu|quant]"
+         \x20             [--backend cpu|quant]"
     );
     std::process::exit(2);
 }
@@ -134,8 +129,6 @@ fn parse_args() -> Args {
         workers: 0,
         timeout: None,
         retries: 0,
-        max_batch: 16,
-        linger: Duration::from_millis(2),
         fault_plan: None,
         fault_seed: 0,
         fast: false,
@@ -150,7 +143,6 @@ fn parse_args() -> Args {
         seed: 0,
         explicit_dims: false,
         max_in_flight: 4,
-        numerics: NumericsTier::Exact,
         backend: neurfill_tensor::BackendKind::Cpu,
     };
     let mut it = std::env::args().skip(1);
@@ -182,14 +174,9 @@ fn parse_args() -> Args {
                 )))
             }
             "--retries" => args.retries = parse_num(&value(&mut it, "--retries"), "--retries"),
-            "--max-batch" => args.max_batch = parse_num(&value(&mut it, "--max-batch"), "--max-batch"),
             "--fault-plan" => args.fault_plan = Some(value(&mut it, "--fault-plan")),
             "--fault-seed" => {
                 args.fault_seed = parse_num(&value(&mut it, "--fault-seed"), "--fault-seed")
-            }
-            "--linger-ms" => {
-                args.linger =
-                    Duration::from_millis(parse_num(&value(&mut it, "--linger-ms"), "--linger-ms"))
             }
             "--full-chip" => args.full_chip = true,
             "--checkpoint" => args.checkpoint = Some(value(&mut it, "--checkpoint").into()),
@@ -207,13 +194,6 @@ fn parse_args() -> Args {
             "--max-in-flight" => {
                 args.max_in_flight = parse_num(&value(&mut it, "--max-in-flight"), "--max-in-flight")
             }
-            "--numerics" => match NumericsTier::parse(&value(&mut it, "--numerics")) {
-                Ok(tier) => args.numerics = tier,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
             "--backend" => match neurfill_tensor::BackendKind::parse(&value(&mut it, "--backend")) {
                 Ok(kind) => args.backend = kind,
                 Err(e) => {
@@ -262,7 +242,7 @@ fn init_demo(args: &Args) -> Result<(), String> {
     }
     if !args.model.as_os_str().is_empty() && !args.model.exists() {
         println!("training demo surrogate (small budget)...");
-        let sim = CmpSimulator::new(process_params(args))?.with_numerics(args.numerics);
+        let sim = CmpSimulator::new(process_params(args))?;
         let sources = benchmark_designs(8, 8, 1);
         let config = SurrogateConfig {
             unet: UNetConfig { in_channels: NUM_CHANNELS, out_channels: 1, base_channels: 4, depth: 2 },
@@ -473,19 +453,12 @@ fn run_full_chip_remote(args: &Args, addr: &str, out_dir: &Path) -> Result<bool,
         println!("failover bundle {} (digest {:016x})", args.model.display(), bundle.digest());
         Some(FailoverConfig {
             bundle,
-            flow: FlowConfig {
-                process: params.clone(),
-                numerics: args.numerics,
-                backend: args.backend,
-                ..FlowConfig::default()
-            },
+            flow: FlowConfig { process: params.clone(), backend: args.backend, ..FlowConfig::default() },
             pool: PoolOptions {
                 workers: args.workers,
-                batch: BatchConfig { max_batch: args.max_batch.max(1), linger: args.linger },
                 default_timeout: args.timeout,
                 retry: RetryPolicy::with_retries(args.retries),
                 telemetry: telemetry.clone(),
-                numerics: args.numerics,
                 backend: args.backend,
                 ..PoolOptions::default()
             },
@@ -558,19 +531,12 @@ fn run_full_chip_pool(args: &Args, out_dir: &Path) -> Result<bool, String> {
     println!("model bundle {} (digest {:016x})", args.model.display(), bundle.digest());
     let telemetry = chip_telemetry(args);
     neurfill_tensor::telemetry::install(telemetry.clone());
-    let flow = FlowConfig {
-        process: params,
-        numerics: args.numerics,
-        backend: args.backend,
-        ..FlowConfig::default()
-    };
+    let flow = FlowConfig { process: params, backend: args.backend, ..FlowConfig::default() };
     let options = PoolOptions {
         workers: args.workers,
-        batch: BatchConfig { max_batch: args.max_batch.max(1), linger: args.linger },
         default_timeout: args.timeout,
         retry: RetryPolicy::with_retries(args.retries),
         telemetry: telemetry.clone(),
-        numerics: args.numerics,
         backend: args.backend,
         ..PoolOptions::default()
     };
@@ -643,8 +609,6 @@ fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
             params: process_params(args),
             tile: args.tile_size,
             workers: args.workers,
-            contact_solve: ContactSolve::for_tier(args.numerics),
-            numerics: args.numerics,
             telemetry: telemetry.clone(),
         },
         fill: ChipFillConfig::default(),
@@ -672,11 +636,9 @@ fn run_full_chip_golden(args: &Args, out_dir: &Path) -> Result<bool, String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args();
-    // Install the tier and tensor backend process-wide up front so every
-    // path — including in-process demo training and the golden sharded
-    // flow — runs the selected kernels (the pool re-installs the same
-    // values).
-    neurfill_tensor::set_numerics_tier(args.numerics);
+    // Install the tensor backend process-wide up front so every path —
+    // including in-process demo training — runs the selected kernels (the
+    // pool re-installs the same value).
     neurfill_tensor::set_backend(args.backend);
     if args.full_chip {
         let out_dir = args.out.clone().unwrap_or_else(|| PathBuf::from("chip-reports"));
@@ -724,22 +686,15 @@ fn run() -> Result<bool, String> {
     };
     // Route GEMM counters/timers (`tensor.gemm*`) into the same snapshot.
     neurfill_tensor::telemetry::install(telemetry.clone());
-    let flow = FlowConfig {
-        process: process_params(&args),
-        numerics: args.numerics,
-        backend: args.backend,
-        ..FlowConfig::default()
-    };
+    let flow =
+        FlowConfig { process: process_params(&args), backend: args.backend, ..FlowConfig::default() };
     let options = PoolOptions {
         workers: args.workers,
-        batch: BatchConfig { max_batch: args.max_batch.max(1), linger: args.linger },
         default_timeout: args.timeout,
         retry: RetryPolicy::with_retries(args.retries),
         fault: Arc::new(fault),
         telemetry: telemetry.clone(),
-        numerics: args.numerics,
         backend: args.backend,
-        ..PoolOptions::default()
     };
     let pool = RuntimePool::new(bundle, flow, options).map_err(|e| e.to_string())?;
 

@@ -129,14 +129,13 @@ pub fn verify_bundle(
         });
     }
 
-    // The canary must judge the bundle under the same numerics tier and
-    // tensor backend the live pool would run it with — a bundle that only
-    // misbehaves when quantized has to be caught here.
+    // The canary must judge the bundle under the same tensor backend the
+    // live pool would run it with — a bundle that only misbehaves when
+    // quantized has to be caught here.
     let options = PoolOptions {
         workers: 1,
         default_timeout: Some(config.timeout),
         fault: Arc::clone(&config.fault),
-        numerics: flow.numerics,
         backend: flow.backend,
         ..PoolOptions::default()
     };

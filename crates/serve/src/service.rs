@@ -276,9 +276,9 @@ impl FillService {
         serve_scope
             .gauge("backend_quant")
             .set(f64::from(u8::from(neurfill_tensor::backend().is_quant())));
-        serve_scope
-            .gauge("numerics_fast")
-            .set(f64::from(u8::from(neurfill_tensor::numerics_tier().is_fast())));
+        // Always 0 (the kernels have one, exact, numerics tier); kept so
+        // `/metrics` readers of the gauge keep working.
+        serve_scope.gauge("numerics_fast").set(0.0);
         let mut jobs: HashMap<u64, ServiceJob> = HashMap::new();
         let mut next_id = 1u64;
         let mut journal = None;

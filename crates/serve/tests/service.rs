@@ -310,12 +310,12 @@ fn full_queue_answers_429_with_retry_after() {
 
 #[test]
 fn canary_rejects_nan_bundle_while_live_model_keeps_serving() {
-    // The canary pool is fault-injected to NaN-poison batched forwards:
+    // The canary pool is fault-injected to NaN-poison verification forwards:
     // every canary sample degrades to golden-simulator verification, which
     // must reject the staged bundle. The live pool shares nothing with it.
     let canary = CanaryConfig {
         samples: 2,
-        fault: Arc::new(FaultPlan::parse("batch_forward=nan", 0).unwrap()),
+        fault: Arc::new(FaultPlan::parse("verify_forward=nan", 0).unwrap()),
         ..CanaryConfig::default()
     };
     let harness = Harness::start(config_with(&[("default", 1, 16)], 1, "", canary));

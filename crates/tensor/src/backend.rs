@@ -18,8 +18,8 @@
 //!   downstream-equivalence suite and is bit-deterministic across thread
 //!   counts (integer accumulation is exact).
 //!
-//! Like [`crate::numerics`], the backend reaches per-call-free code (layer
-//! `infer` methods) through a process-wide global; structured callers (the
+//! The backend reaches per-call-free code (layer `infer` methods) through
+//! a process-wide global; structured callers (the
 //! runtime pool, the serve front-ends) carry the kind in their configs and
 //! install the global at startup.
 

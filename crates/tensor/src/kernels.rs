@@ -23,24 +23,6 @@
 //! thread, via [`std::thread::scope`]: each output row has exactly one
 //! writer and its accumulation order does not depend on the number of
 //! threads, so parallelism never changes a single bit.
-//!
-//! # Numerics tiers
-//!
-//! Everything above holds for the default [`NumericsTier::Exact`]. Under
-//! [`NumericsTier::Fast`] (selected per call via [`gemm_tiered`] or
-//! process-wide via [`crate::set_numerics_tier`]), the AVX2 panel is
-//! recompiled with FMA contraction: each accumulation step issues one
-//! fused `t = fma(a, b, t)` (a single rounding) instead of a rounded
-//! multiply followed by a rounded add. The k-order is unchanged, so the
-//! fast tier is still bit-deterministic at every thread count on a given
-//! host; versus the exact tier each output element obeys the standard
-//! forward bound `|fast − exact| ≤ 2·k·ε·Σᵢ|aᵢ·bᵢ|` (ε = 2⁻²⁴), which the
-//! `gemm_equivalence` suite asserts on the UNet im2col shapes. The FMA
-//! panel is only dispatched when the host advertises both `avx2` and
-//! `fma` (a software `mul_add` fallback would be pathologically slow);
-//! hosts without them run the exact panel in either tier.
-
-use crate::numerics::{numerics_tier, NumericsTier};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -113,9 +95,7 @@ pub fn gemm_reference(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
 
 /// Blocked GEMM with automatic thread selection: `out += a · b`.
 ///
-/// Runs in the process-wide numerics tier ([`crate::numerics_tier`]);
-/// in the default Exact tier it is bit-identical to [`gemm_reference`]
-/// for every shape and thread count.
+/// Bit-identical to [`gemm_reference`] for every shape and thread count.
 pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let work = (m as u64) * (k as u64) * (n as u64);
     // Auto mode throttles the budget so each spawned thread gets at
@@ -126,9 +106,8 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
 }
 
 /// Blocked GEMM on an explicit thread count (`0` and `1` both mean
-/// sequential), in the process-wide numerics tier. The request is
-/// honored up to one thread per output row; use [`gemm`] for the
-/// work-aware automatic choice.
+/// sequential). The request is honored up to one thread per output row;
+/// use [`gemm`] for the work-aware automatic choice.
 pub fn gemm_with_threads(
     a: &[f32],
     b: &[f32],
@@ -137,24 +116,6 @@ pub fn gemm_with_threads(
     k: usize,
     n: usize,
     threads: usize,
-) {
-    gemm_tiered(a, b, out, m, k, n, threads, numerics_tier());
-}
-
-/// Blocked GEMM on an explicit thread count *and* numerics tier,
-/// bypassing the process-wide tier. This is the entry the equivalence
-/// suites and benches use to compare tiers side by side without mutating
-/// global state.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tiered(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-    tier: NumericsTier,
 ) {
     assert_eq!(a.len(), m * k, "lhs buffer does not match {m}x{k}");
     assert_eq!(b.len(), k * n, "rhs buffer does not match {k}x{n}");
@@ -169,7 +130,7 @@ pub fn gemm_tiered(
     }
     let threads = threads.max(1).min(m);
     if threads <= 1 {
-        gemm_panel(a, 0, b, out, m, k, n, tier);
+        gemm_panel(a, 0, b, out, m, k, n);
         return;
     }
     // Split the output into disjoint chunks of whole rows, one chunk per
@@ -180,7 +141,7 @@ pub fn gemm_tiered(
         for (idx, chunk) in out.chunks_mut(rows_per * n).enumerate() {
             let row0 = idx * rows_per;
             let rows = chunk.len() / n;
-            scope.spawn(move || gemm_panel(a, row0, b, chunk, rows, k, n, tier));
+            scope.spawn(move || gemm_panel(a, row0, b, chunk, rows, k, n));
         }
     });
 }
@@ -199,23 +160,16 @@ fn gemm_panel(
     rows: usize,
     k: usize,
     n: usize,
-    tier: NumericsTier,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        if tier.is_fast() && has_fma() {
-            // SAFETY: has_fma() verified avx2 + fma are available.
-            unsafe { gemm_panel_avx2_fma(a, row0, b, out_panel, rows, k, n) };
-            return;
-        }
         if has_avx2() {
             // SAFETY: has_avx2() verified the required target features.
             unsafe { gemm_panel_avx2(a, row0, b, out_panel, rows, k, n) };
             return;
         }
     }
-    let _ = tier;
-    gemm_panel_body::<4, 8, false>(a, row0, b, out_panel, rows, k, n);
+    gemm_panel_body::<4, 8>(a, row0, b, out_panel, rows, k, n);
 }
 
 /// [`gemm_panel_body`] compiled with AVX2 codegen: four accumulator rows
@@ -233,27 +187,7 @@ unsafe fn gemm_panel_avx2(
     k: usize,
     n: usize,
 ) {
-    gemm_panel_body::<4, 16, false>(a, row0, b, out_panel, rows, k, n);
-}
-
-/// The Fast-tier panel: the identical blocked loop compiled with
-/// `avx2,fma` codegen and every accumulation step written as
-/// `f32::mul_add`, which lowers to a single `vfmadd` (one rounding per
-/// step instead of two). k-order is unchanged, so the result is still
-/// bit-deterministic at every thread count; versus the exact panel it
-/// carries the documented `2·k·ε·Σ|a·b|` bound (module docs).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_panel_avx2_fma(
-    a: &[f32],
-    row0: usize,
-    b: &[f32],
-    out_panel: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    gemm_panel_body::<4, 16, true>(a, row0, b, out_panel, rows, k, n);
+    gemm_panel_body::<4, 16>(a, row0, b, out_panel, rows, k, n);
 }
 
 /// Returns whether the AVX2-compiled kernel body may be called.
@@ -263,23 +197,11 @@ fn has_avx2() -> bool {
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
-/// Returns whether the FMA-contracted kernel body may be called. Hardware
-/// FMA is required: without it `f32::mul_add` falls back to a correctly-
-/// rounded software routine that is orders of magnitude slower.
-#[cfg(target_arch = "x86_64")]
-fn has_fma() -> bool {
-    static FMA: OnceLock<bool> = OnceLock::new();
-    *FMA.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    })
-}
-
 /// The blocked panel loop, generic over the register block: `MR` output
 /// rows × `NR` output columns are held in registers while a k-strip is
-/// consumed against them. `FMA` selects fused accumulation (Fast tier);
-/// it must only be `true` inside an `fma` target-feature context.
+/// consumed against them.
 #[inline(always)]
-fn gemm_panel_body<const MR: usize, const NR: usize, const FMA: bool>(
+fn gemm_panel_body<const MR: usize, const NR: usize>(
     a: &[f32],
     row0: usize,
     b: &[f32],
@@ -292,9 +214,9 @@ fn gemm_panel_body<const MR: usize, const NR: usize, const FMA: bool>(
     // Packing reads and rewrites the whole `b` tile once per k-strip; it
     // only pays for itself when enough row groups reuse the packed copy.
     if rows >= PACK_MIN_ROWS {
-        gemm_panel_loop::<MR, NR, true, FMA>(a, row0, b, out_panel, k, n);
+        gemm_panel_loop::<MR, NR, true>(a, row0, b, out_panel, k, n);
     } else {
-        gemm_panel_loop::<MR, NR, false, FMA>(a, row0, b, out_panel, k, n);
+        gemm_panel_loop::<MR, NR, false>(a, row0, b, out_panel, k, n);
     }
 }
 
@@ -309,7 +231,7 @@ fn gemm_panel_body<const MR: usize, const NR: usize, const FMA: bool>(
 /// is cache-hot — with `n` large enough that column strides alias in L1,
 /// this is what keeps small-`m` problems off the memory wall.
 #[inline(always)]
-fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const FMA: bool>(
+fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool>(
     a: &[f32],
     row0: usize,
     b: &[f32],
@@ -345,35 +267,11 @@ fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const F
                 let j = jj + jb * NR;
                 let mut row = 0;
                 while row + MR <= rows {
-                    block_m::<MR, NR, PACKED, FMA>(
-                        a,
-                        row0 + row,
-                        panel,
-                        b,
-                        out_panel,
-                        row,
-                        k,
-                        n,
-                        j,
-                        kk,
-                        kcw,
-                    );
+                    block_m::<MR, NR, PACKED>(a, row0 + row, panel, b, out_panel, row, k, n, j, kk, kcw);
                     row += MR;
                 }
                 while row < rows {
-                    block_1::<NR, PACKED, FMA>(
-                        a,
-                        row0 + row,
-                        panel,
-                        b,
-                        out_panel,
-                        row,
-                        k,
-                        n,
-                        j,
-                        kk,
-                        kcw,
-                    );
+                    block_1::<NR, PACKED>(a, row0 + row, panel, b, out_panel, row, k, n, j, kk, kcw);
                     row += 1;
                 }
             }
@@ -383,11 +281,7 @@ fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const F
                     let arow = &a[(row0 + row) * k..(row0 + row + 1) * k];
                     let mut t = out_panel[row * n + j];
                     for kc in kk..kk + kcw {
-                        if FMA {
-                            t = arow[kc].mul_add(b[kc * n + j], t);
-                        } else {
-                            t += arow[kc] * b[kc * n + j];
-                        }
+                        t += arow[kc] * b[kc * n + j];
                     }
                     out_panel[row * n + j] = t;
                 }
@@ -408,7 +302,7 @@ fn gemm_panel_loop<const MR: usize, const NR: usize, const PACKED: bool, const F
 /// memory traffic, never a bit.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn block_m<const MR: usize, const NR: usize, const PACKED: bool, const FMA: bool>(
+fn block_m<const MR: usize, const NR: usize, const PACKED: bool>(
     a: &[f32],
     arow0: usize,
     panel: &[f32],
@@ -434,11 +328,7 @@ fn block_m<const MR: usize, const NR: usize, const PACKED: bool, const FMA: bool
         for (r, block) in acc.iter_mut().enumerate() {
             let x = arows[r][kk + kc];
             for (t, &bl) in block.iter_mut().zip(bv) {
-                if FMA {
-                    *t = x.mul_add(bl, *t);
-                } else {
-                    *t += x * bl;
-                }
+                *t += x * bl;
             }
         }
     }
@@ -452,7 +342,7 @@ fn block_m<const MR: usize, const NR: usize, const PACKED: bool, const FMA: bool
 /// accumulation and addition order as [`block_m`], one output row.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn block_1<const NR: usize, const PACKED: bool, const FMA: bool>(
+fn block_1<const NR: usize, const PACKED: bool>(
     a: &[f32],
     arow: usize,
     panel: &[f32],
@@ -475,11 +365,7 @@ fn block_1<const NR: usize, const PACKED: bool, const FMA: bool>(
         let base = if PACKED { kc * NR } else { (kk + kc) * n + j };
         let bv = &panel[base..base + NR];
         for (t, &bl) in acc.iter_mut().zip(bv) {
-            if FMA {
-                *t = x.mul_add(bl, *t);
-            } else {
-                *t += x * bl;
-            }
+            *t += x * bl;
         }
     }
     out_panel[o..o + NR].copy_from_slice(&acc);

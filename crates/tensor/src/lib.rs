@@ -46,7 +46,6 @@ mod error;
 pub mod gradcheck;
 pub mod init;
 pub mod kernels;
-pub mod numerics;
 pub mod ops;
 pub mod quant;
 pub mod shape;
@@ -56,7 +55,6 @@ mod tensor;
 pub use array::NdArray;
 pub use backend::{backend, set_backend, BackendKind, TensorBackend};
 pub use error::{Result, TensorError};
-pub use numerics::{numerics_tier, set_numerics_tier, NumericsTier};
 pub use ops::conv::{
     avg_pool2d_forward, conv2d_backward, conv2d_forward, conv_out_extent, conv_transpose2d_backward,
     conv_transpose2d_forward, max_pool2d_forward,
